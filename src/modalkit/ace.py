@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DataError, NumericalError
-from .modal import ModalDecomposition
-from .probability import JointPmf, Pmf
+from .errors import DataError, NumericalError, check_k
+from .modal import ModalDecomposition, finish_modes
+from .probability import JointPmf
 
 
 @dataclass(frozen=True)
@@ -88,8 +88,7 @@ def orthogonal_iteration(
     ``trace.converged`` False rather than raising.
     """
     a = linalg.as_matrix(a)
-    if not 1 <= k <= min(a.shape):
-        raise DataError("K_OUT_OF_RANGE", f"k={k} not in [1, {min(a.shape)}]")
+    check_k(k, 1, min(a.shape))
     rng = np.random.default_rng(opts.seed)
     block = rng.standard_normal((a.shape[1], k))
     monitor: list[float] = []
@@ -105,11 +104,8 @@ def orthogonal_iteration(
             break
     qx, _ = linalg.thin_qr(block)
     sigmas, u, v = _align_modes(qy.T @ a @ qx, qy, qx)
-    for j in range(k):  # the oracle's sign rule, applied to the right block
-        col = v[:, j]
-        if col[int(np.argmax(np.abs(col)))] < 0:
-            v[:, j] = -col
-            u[:, j] = -u[:, j]
+    signs = linalg.lead_signs(v)  # the oracle's sign rule, applied to the right block
+    u, v = u * signs, v * signs
     trace = AceTrace(tuple(monitor), converged, len(monitor))
     return u, sigmas, v, trace
 
@@ -118,21 +114,21 @@ def orthogonal_iteration(
 # discrete ACE
 
 
-def _whiten(values: np.ndarray, weights: np.ndarray, jitter: float, redraw) -> np.ndarray:
-    """Whiten weighted feature columns: E[v v^T] -> I via a Cholesky factor.
+def _whiten(values: np.ndarray, gram, jitter: float, redraw) -> np.ndarray:
+    """Whiten feature columns: gram(v) -> I via a Cholesky factor.
 
-    On a failed factorization retries once with ``jitter`` added to the
-    diagonal; a second failure means the requested order exceeds the
+    ``gram(values)`` is the covariance of the columns under the relevant
+    law.  On a failed factorization retries once with ``jitter`` added to
+    the diagonal; a second failure means the requested order exceeds the
     effective rank.  ``redraw`` (or None) lets the first iteration restart
     from a fresh random block before the jitter policy applies.
     """
-    cov = (values * weights[:, None]).T @ values
+    cov = gram(values)
     try:
         low = linalg.cholesky(cov)
     except NumericalError:
         if redraw is not None:
-            fresh = redraw()
-            return _whiten(fresh, weights, jitter, None)
+            return _whiten(redraw(), gram, jitter, None)
         try:
             low = linalg.cholesky(cov + jitter * np.eye(cov.shape[0]))
         except NumericalError:
@@ -140,7 +136,7 @@ def _whiten(values: np.ndarray, weights: np.ndarray, jitter: float, redraw) -> n
                 "RANK_DEFICIENT_WHITENING",
                 "whitening covariance is singular; k exceeds the effective rank",
             ) from None
-    return linalg.solve_lower(low, values.T).T
+    return linalg.solve_lower(low, values.T).T  # values @ low^{-T}
 
 
 def ace_discrete(
@@ -154,8 +150,7 @@ def ace_discrete(
     decomposition from data.
     """
     kmax = min(len(joint.x_alphabet), len(joint.y_alphabet)) - 1
-    if not 1 <= k <= kmax:
-        raise DataError("K_OUT_OF_RANGE", f"k={k} not in [1, {kmax}]")
+    check_k(k, 1, kmax)
     if not joint.strictly_positive_marginals:
         raise DataError("ZERO_MARGINAL", "ACE needs strictly positive marginals")
 
@@ -172,20 +167,21 @@ def ace_discrete(
     whiten_dev = 0.0
     center_dev = 0.0
     f_hat = g_hat = None
+    gram_x = lambda v: (v * px[:, None]).T @ v
+    gram_y = lambda v: (v * py[:, None]).T @ v
+
     def redraw_centered():
         fresh = rng.standard_normal((len(px), k))
         return fresh - px @ fresh
 
     for iteration in range(opts.max_iters):
         f_bar = f_bar - px @ f_bar
-        f_hat = _whiten(f_bar, px, opts.jitter, redraw_centered if iteration == 0 else None)
-        whiten_dev = max(
-            whiten_dev, float(np.max(np.abs((f_hat * px[:, None]).T @ f_hat - np.eye(k))))
-        )
+        f_hat = _whiten(f_bar, gram_x, opts.jitter, redraw_centered if iteration == 0 else None)
+        whiten_dev = max(whiten_dev, float(np.max(np.abs(gram_x(f_hat) - np.eye(k)))))
         g_bar = cond_x_given_y.T @ f_hat
         g_bar = g_bar - py @ g_bar
         center_dev = max(center_dev, float(np.max(np.abs(py @ g_bar))))
-        g_hat = _whiten(g_bar, py, opts.jitter, None)
+        g_hat = _whiten(g_bar, gram_y, opts.jitter, None)
         f_bar = cond_y_given_x @ g_hat
         monitor.append(float(np.einsum("xk,xy,yk->", f_bar, pxy, g_hat)))
         if _stopped(monitor, opts.tol):
@@ -193,36 +189,16 @@ def ace_discrete(
             break
 
     f_bar = f_bar - px @ f_bar
-    f_hat = _whiten(f_bar, px, opts.jitter, None)
+    f_hat = _whiten(f_bar, gram_x, opts.jitter, None)
     core = g_hat.T @ pxy.T @ f_hat  # [j, i] = E[g_j(Y) f_i(X)]
     sigmas, g_hat, f_hat = _align_modes(core, g_hat, f_hat)
-    # Zero modes carry no signal through the conditional expectations, so
-    # their columns are whatever the (jittered) whitening left behind;
-    # replace them with valid orthonormal directions, as the oracle path does.
-    from .modal import _ZERO_SIGMA_TOL, _zero_mode_directions
-
-    rank = int(np.sum(sigmas > _ZERO_SIGMA_TOL))
-    if rank < k:
-        root_x, root_y = np.sqrt(px), np.sqrt(py)
-        sigmas[rank:] = 0.0
-        psi = _zero_mode_directions(
-            root_x[:, None] * f_hat[:, :rank], root_x, root_x[:, None] * f_hat[:, rank:], k - rank
-        )
-        f_hat[:, rank:] = psi / root_x[:, None]
-        psi = _zero_mode_directions(
-            root_y[:, None] * g_hat[:, :rank], root_y, root_y[:, None] * g_hat[:, rank:], k - rank
-        )
-        g_hat[:, rank:] = psi / root_y[:, None]
-    # Deterministic sign: leading entry (by magnitude) of each weighted
-    # f-column positive, matching the SVD oracle's convention.
-    for i in range(k):
-        col = np.sqrt(px) * f_hat[:, i]
-        if col[int(np.argmax(np.abs(col)))] < 0:
-            f_hat[:, i] *= -1.0
-            g_hat[:, i] *= -1.0
-    md = ModalDecomposition(
-        sigmas, f_hat, g_hat, Pmf(joint.x_alphabet, px), Pmf(joint.y_alphabet, py)
-    )
+    # The package's sign rule on each psi_x column, its psi_y partner
+    # flipping with it.  Zero modes carry no signal through the conditional
+    # expectations, so their columns are whatever the (jittered) whitening
+    # left behind; finish_modes replaces them exactly as on the oracle path.
+    psi_x, psi_y = np.sqrt(px)[:, None] * f_hat, np.sqrt(py)[:, None] * g_hat
+    signs = linalg.lead_signs(psi_x)
+    md = finish_modes(sigmas, psi_x * signs, psi_y * signs, joint.x_marginal, joint.y_marginal)
     trace = AceTrace(tuple(monitor), converged, len(monitor), whiten_dev, center_dev)
     return md, trace
 
@@ -243,29 +219,15 @@ def ace_gaussian(gauss, k: int, opts: AceOptions = AceOptions()):
 
     if not isinstance(gauss, GaussianJoint):
         raise DataError("SHAPE_MISMATCH", "ace_gaussian expects a GaussianJoint")
-    if not 1 <= k <= min(gauss.dim_x, gauss.dim_y):
-        raise DataError("K_OUT_OF_RANGE", f"k={k} not in [1, {min(gauss.dim_x, gauss.dim_y)}]")
+    check_k(k, 1, min(gauss.dim_x, gauss.dim_y))
 
     cov_x, cov_y = gauss.cov_x, gauss.cov_y
     cov_yx = gauss.cov_xy.T
     low_x = linalg.cholesky(cov_x)
     low_y = linalg.cholesky(cov_y)
 
-    def whiten(block: np.ndarray, low_cov: np.ndarray, redraw) -> np.ndarray:
-        cov = block.T @ (low_cov @ (low_cov.T @ block))
-        try:
-            low = linalg.cholesky(cov)
-        except NumericalError:
-            if redraw is not None:
-                return whiten(redraw(), low_cov, None)
-            try:
-                low = linalg.cholesky(cov + opts.jitter * np.eye(cov.shape[0]))
-            except NumericalError:
-                raise NumericalError(
-                    "RANK_DEFICIENT_WHITENING",
-                    "whitening covariance is singular; k exceeds the effective rank",
-                ) from None
-        return linalg.solve_lower(low, block.T).T  # block @ low^{-T}
+    gram_x = lambda b: b.T @ (low_x @ (low_x.T @ b))
+    gram_y = lambda b: b.T @ (low_y @ (low_y.T @ b))
 
     rng = np.random.default_rng(opts.seed)
     f_bar = rng.standard_normal((gauss.dim_x, k))
@@ -274,16 +236,16 @@ def ace_gaussian(gauss, k: int, opts: AceOptions = AceOptions()):
     f_hat = g_hat = None
     for iteration in range(opts.max_iters):
         redraw = (lambda: rng.standard_normal(f_bar.shape)) if iteration == 0 else None
-        f_hat = whiten(f_bar, low_x, redraw)
+        f_hat = _whiten(f_bar, gram_x, opts.jitter, redraw)
         g_bar = linalg.chol_solve(cov_y, cov_yx @ f_hat)
-        g_hat = whiten(g_bar, low_y, None)
+        g_hat = _whiten(g_bar, gram_y, opts.jitter, None)
         f_bar = linalg.chol_solve(cov_x, cov_yx.T @ g_hat)
         monitor.append(float(np.trace(g_hat.T @ cov_yx @ f_bar)))
         if _stopped(monitor, opts.tol):
             converged = True
             break
 
-    f_hat = whiten(f_bar, low_x, None)
+    f_hat = _whiten(f_bar, gram_x, opts.jitter, None)
     sigmas, g_hat, f_hat = _align_modes(g_hat.T @ cov_yx @ f_hat, g_hat, f_hat)
     trace = AceTrace(tuple(monitor), converged, len(monitor))
     return CcaDecomposition(f_hat, g_hat, sigmas), trace

@@ -23,7 +23,7 @@ from typing import Literal
 import numpy as np
 
 from . import linalg
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, check_k
 from .modal import decompose
 from .probability import JointPmf, Pmf, SamplePairs, _freeze, joint_from_samples
 from .gaussian import _numeric_embedding
@@ -189,8 +189,7 @@ def softmax_divergence_gap(joint: JointPmf, k: int) -> float:
     non-injective feature map cannot realize the bound.
     """
     kmax = min(len(joint.x_alphabet), len(joint.y_alphabet)) - 1
-    if not 0 <= k <= kmax:
-        raise DataError("K_OUT_OF_RANGE", f"k={k} not in [0, {kmax}]")
+    check_k(k, 0, kmax)
     if kmax == 0:
         return 0.0
     md = decompose(joint, kmax, method="oracle")

@@ -122,11 +122,9 @@ def _cmd_recommend(args) -> dict:
 
 def _cmd_common_info(args) -> dict:
     joint = _load_joint(args)
-    value = common_info.eps_common_information(joint)
     kmax = min(len(joint.x_alphabet), len(joint.y_alphabet)) - 1
-    md = modal.decompose(joint, kmax, method="oracle")
-    config = common_info.build_common_config(md)
-    return {"value": value, "config": config.to_json_dict()}
+    config = common_info.build_common_config(modal.decompose(joint, kmax, method="oracle"))
+    return {"value": config.nuclear, "config": config.to_json_dict()}
 
 
 def _cmd_cca(args) -> dict:
@@ -227,6 +225,15 @@ def cli(argv: list[str] | None = None) -> int:
         return err.exit_code
     except FileNotFoundError as err:
         sys.stderr.write(f"error[NO_SUCH_FILE]: {err}\n")
+        return 2
+    except OSError as err:
+        sys.stderr.write(f"error[IO_ERROR]: {err}\n")
+        return 2
+    except UnicodeDecodeError as err:
+        sys.stderr.write(f"error[BAD_ENCODING]: input is not UTF-8: {err}\n")
+        return 2
+    except json.JSONDecodeError as err:
+        sys.stderr.write(f"error[BAD_JSON]: {err}\n")
         return 2
     return 0
 

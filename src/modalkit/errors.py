@@ -37,3 +37,9 @@ class NumericalError(ModalkitError):
     """Numerical failure: lost positive-definiteness, no convergence, ..."""
 
     exit_code = 3
+
+
+def check_k(k: int, lo: int, hi: int) -> None:
+    """Raise K_OUT_OF_RANGE unless lo <= k <= hi."""
+    if not lo <= k <= hi:
+        raise DataError("K_OUT_OF_RANGE", f"k={k} not in [{lo}, {hi}]")

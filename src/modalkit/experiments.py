@@ -37,7 +37,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from . import linalg
-from .errors import DataError
+from .errors import DataError, check_k
 from .modal import build_cdm, build_quasi_cdm
 from .probability import JointPmf, Pmf
 
@@ -167,6 +167,27 @@ def _quasi_sigmas(joint: JointPmf, emp: JointPmf, k: int) -> np.ndarray:
     return linalg.svd_oracle(quasi.btilde).sigmas[:k]
 
 
+def _mc_setup(joint: JointPmf, n_grid, delta_grid, k: int, trials: int, delta_cap):
+    """Checks shared by the tail experiments, then the true spectrum.
+
+    Returns ``(p0, cdm, svd)``: the smallest marginal probability, the CDM
+    matrix and its oracle SVD.  ``delta_cap(p0)`` is the experiment's upper
+    limit on delta.
+    """
+    if not joint.strictly_positive_marginals or np.any(joint.probs <= 0):
+        raise DataError("ZERO_MARGINAL", "experiment requires a strictly positive joint")
+    p0 = min_marginal(joint)
+    check_k(k, 1, min(len(joint.x_alphabet), len(joint.y_alphabet)))
+    dmax = delta_cap(p0)
+    for d in delta_grid:
+        if not 0 <= d <= dmax:
+            raise DataError("DELTA_OUT_OF_RANGE", f"delta={d} outside [0, {dmax}]")
+    if trials < 1 or len(n_grid) == 0 or min(n_grid) < 1:
+        raise DataError("BAD_OPTIONS", "need trials >= 1 and a non-empty grid of sample sizes >= 1")
+    cdm = build_cdm(joint).btilde
+    return p0, cdm, linalg.svd_oracle(cdm)
+
+
 def _run_tail(
     joint: JointPmf,
     n_grid: Sequence[int],
@@ -213,17 +234,10 @@ def mc_sigma_tail(
     seed: int,
 ) -> TailExperimentReport:
     """Tail validation for the summed singular-value error."""
-    if not joint.strictly_positive_marginals or np.any(joint.probs <= 0):
-        raise DataError("ZERO_MARGINAL", "experiment requires a strictly positive joint")
-    p0 = min_marginal(joint)
-    kk = min(len(joint.x_alphabet), len(joint.y_alphabet))
-    if not 1 <= k <= kk:
-        raise DataError("K_OUT_OF_RANGE", f"k={k} not in [1, {kk}]")
-    dmax = math.sqrt(k / 2.0) / p0
-    for d in delta_grid:
-        if not 0 <= d <= dmax:
-            raise DataError("DELTA_OUT_OF_RANGE", f"delta={d} outside [0, {dmax}]")
-    true_sig = np.concatenate([linalg.svd_oracle(build_cdm(joint).btilde).sigmas, [0.0]])[:k]
+    p0, _, svd_true = _mc_setup(
+        joint, n_grid, delta_grid, k, trials, lambda p0: math.sqrt(k / 2.0) / p0
+    )
+    true_sig = svd_true.sigmas[:k]
     n_x, n_y = len(joint.x_alphabet), len(joint.y_alphabet)
 
     def statistic(emp: JointPmf) -> float:
@@ -260,17 +274,7 @@ def mc_feature_quality(
     estimated singular vectors; ``mu2prime`` is the Frobenius gap between
     the true and estimated mode-correlation matrices.
     """
-    if not joint.strictly_positive_marginals or np.any(joint.probs <= 0):
-        raise DataError("ZERO_MARGINAL", "experiment requires a strictly positive joint")
-    p0 = min_marginal(joint)
-    kk = min(len(joint.x_alphabet), len(joint.y_alphabet))
-    if not 1 <= k <= kk:
-        raise DataError("K_OUT_OF_RANGE", f"k={k} not in [1, {kk}]")
-    for d in delta_grid:
-        if not 0 <= d <= 4 * k:
-            raise DataError("DELTA_OUT_OF_RANGE", f"delta={d} outside [0, {4 * k}]")
-    cdm = build_cdm(joint).btilde
-    svd_true = linalg.svd_oracle(cdm)
+    p0, cdm, svd_true = _mc_setup(joint, n_grid, delta_grid, k, trials, lambda p0: 4 * k)
     captured_true = float(np.sum(svd_true.sigmas[:k] ** 2))
     sig_diag = np.diag(svd_true.sigmas[:k])
     n_x, n_y = len(joint.x_alphabet), len(joint.y_alphabet)
@@ -309,17 +313,10 @@ def mc_mi_error(
     seed: int,
 ) -> TailExperimentReport:
     """Tail validation for the plug-in local mutual-information estimate."""
-    if not joint.strictly_positive_marginals or np.any(joint.probs <= 0):
-        raise DataError("ZERO_MARGINAL", "experiment requires a strictly positive joint")
-    p0 = min_marginal(joint)
-    kk = min(len(joint.x_alphabet), len(joint.y_alphabet))
-    if not 1 <= k <= kk:
-        raise DataError("K_OUT_OF_RANGE", f"k={k} not in [1, {kk}]")
-    dmax = math.sqrt(k / 2.0) / (p0 * p0)
-    for d in delta_grid:
-        if not 0 <= d <= dmax:
-            raise DataError("DELTA_OUT_OF_RANGE", f"delta={d} outside [0, {dmax}]")
-    true_sig = np.concatenate([linalg.svd_oracle(build_cdm(joint).btilde).sigmas, [0.0]])[:k]
+    p0, _, svd_true = _mc_setup(
+        joint, n_grid, delta_grid, k, trials, lambda p0: math.sqrt(k / 2.0) / (p0 * p0)
+    )
+    true_sig = svd_true.sigmas[:k]
     true_half = 0.5 * float(np.sum(true_sig**2))
 
     def statistic(emp: JointPmf) -> float:

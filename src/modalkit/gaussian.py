@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, check_k
 from .probability import JointPmf, _freeze
 
 SIGMA_ONE_TOL = 1e-9
@@ -102,11 +102,13 @@ class GaussianJoint:
                 np.asarray(data["cov_y"], dtype=float),
                 np.asarray(data["cov_xy"], dtype=float),
             )
+            for key in ("dim_x", "dim_y"):
+                if key in data and int(data[key]) != getattr(g, key):
+                    raise DataError("BAD_JSON", f"{key}={data[key]} does not match covariance shape")
         except KeyError as err:
             raise DataError("BAD_JSON", f"Gaussian model is missing field {err}") from None
-        for key in ("dim_x", "dim_y"):
-            if key in data and int(data[key]) != getattr(g, key):
-                raise DataError("BAD_JSON", f"{key}={data[key]} does not match covariance shape")
+        except (TypeError, ValueError) as err:
+            raise DataError("BAD_JSON", f"Gaussian model is malformed: {err}") from None
         return g
 
 
@@ -138,8 +140,7 @@ def build_ccm(gauss: GaussianJoint) -> np.ndarray:
 
 def cca(gauss: GaussianJoint, k: int) -> CcaDecomposition:
     """Top-k canonical correlation analysis via the CCM's SVD."""
-    if not 1 <= k <= min(gauss.dim_x, gauss.dim_y):
-        raise DataError("K_OUT_OF_RANGE", f"k={k} not in [1, {min(gauss.dim_x, gauss.dim_y)}]")
+    check_k(k, 1, min(gauss.dim_x, gauss.dim_y))
     svd = linalg.svd_oracle(build_ccm(gauss))
     f = linalg.solve_upper(np.asarray(gauss._low_x).T, svd.v[:, :k])
     g = linalg.solve_upper(np.asarray(gauss._low_y).T, svd.u[:, :k])
@@ -160,8 +161,7 @@ def gaussian_mi(gauss: GaussianJoint, k: int | None = None) -> GaussianMi:
     sig = linalg.svd_oracle(build_ccm(gauss)).sigmas
     if k is None:
         k = sig.size
-    if not 0 <= k <= sig.size:
-        raise DataError("K_OUT_OF_RANGE", f"k={k} not in [0, {sig.size}]")
+    check_k(k, 0, sig.size)
     if sig.size and sig[0] >= 1.0 - 1e-12:
         raise NumericalError("SINGULAR", "a canonical correlation equals 1; MI diverges")
     exact = -0.5 * float(np.sum(np.log1p(-sig**2)))
@@ -256,8 +256,7 @@ def rank_k_regression_kl(gauss: GaussianJoint, k: int) -> RankKRegression:
     rank at most k, the one closest in KL keeps the top-k CCM modes:
     cross_cov = Cov_Y G* Sigma_k F*^T Cov_X, predictor = cross_cov Cov_X^{-1}.
     """
-    if not 1 <= k <= min(gauss.dim_x, gauss.dim_y):
-        raise DataError("K_OUT_OF_RANGE", f"k={k} not in [1, {min(gauss.dim_x, gauss.dim_y)}]")
+    check_k(k, 1, min(gauss.dim_x, gauss.dim_y))
     dec = cca(gauss, k)
     cross = gauss.cov_y @ (dec.g * dec.sigmas[None, :]) @ dec.f.T @ gauss.cov_x
     predictor = linalg.chol_solve(gauss.cov_x, cross.T).T
@@ -271,8 +270,7 @@ def rank_k_regression_mmse(gauss: GaussianJoint, k: int) -> np.ndarray:
     Lambda_YX Lambda_X^{-1/2}; note the truncation differs from the
     KL-optimal one unless Cov_Y = I.
     """
-    if not 1 <= k <= min(gauss.dim_x, gauss.dim_y):
-        raise DataError("K_OUT_OF_RANGE", f"k={k} not in [1, {min(gauss.dim_x, gauss.dim_y)}]")
+    check_k(k, 1, min(gauss.dim_x, gauss.dim_y))
     low_x = np.asarray(gauss._low_x)
     half = linalg.solve_lower(low_x, gauss.cov_xy).T  # Lambda_YX L_X^{-T}
     svd = linalg.svd_oracle(half).truncate(k)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, check_k
 
 JACOBI_TOL = 1e-14
 JACOBI_MAX_SWEEPS = 60
@@ -32,32 +32,6 @@ def as_matrix(a) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise DataError("SHAPE_MISMATCH", "matrix entries must be finite")
     return m
-
-
-# ---------------------------------------------------------------------------
-# elementwise / product plumbing
-
-
-def matmul(a, b) -> np.ndarray:
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise DataError("SHAPE_MISMATCH", f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def transpose(a) -> np.ndarray:
-    return as_matrix(a).T.copy()
-
-
-def add(a, b) -> np.ndarray:
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape != b.shape:
-        raise DataError("SHAPE_MISMATCH", f"cannot add {a.shape} and {b.shape}")
-    return a + b
-
-
-def scale(a, c: float) -> np.ndarray:
-    return as_matrix(a) * float(c)
 
 
 # ---------------------------------------------------------------------------
@@ -153,10 +127,6 @@ def chol_solve(s, b) -> np.ndarray:
     return solve_upper(low.T, solve_lower(low, b))
 
 
-def chol_inverse(s) -> np.ndarray:
-    return chol_solve(s, np.eye(as_matrix(s).shape[0]))
-
-
 # ---------------------------------------------------------------------------
 # SVD oracle (one-sided Jacobi)
 
@@ -225,6 +195,15 @@ def _complete_orthonormal(cols: np.ndarray, start: int) -> None:
         if norm <= 1e-8:
             raise NumericalError("BAD_SVD", "failed to complete an orthonormal basis")
         cols[:, j] = cand / norm
+
+
+def lead_signs(cols: np.ndarray) -> np.ndarray:
+    """The package's sign rule: per column, the +1/-1 factor that makes the
+    first component of largest magnitude positive."""
+    if cols.shape[0] == 0:  # the empty matrix's SVD has no components to sign
+        return np.ones(cols.shape[1])
+    lead = np.argmax(np.abs(cols), axis=0)
+    return np.where(cols[lead, np.arange(cols.shape[1])] < 0, -1.0, 1.0)
 
 
 def svd_oracle(a, tol: float = JACOBI_TOL, max_sweeps: int = JACOBI_MAX_SWEEPS) -> SvdResult:
@@ -315,43 +294,17 @@ def svd_oracle(a, tol: float = JACOBI_TOL, max_sweeps: int = JACOBI_MAX_SWEEPS) 
     if rank < n:
         _complete_orthonormal(u, rank)
 
-    for j in range(n):
-        col = v[:, j]
-        lead = int(np.argmax(np.abs(col)))
-        if col[lead] < 0:
-            v[:, j] = -col
-            u[:, j] = -u[:, j]
+    signs = lead_signs(v)
+    v *= signs
+    u *= signs
 
     if transposed:
         u, v = v, u
     return SvdResult(u, sig, v)
 
 
-# ---------------------------------------------------------------------------
-# norms
-
-
-@dataclass(frozen=True)
-class Norms:
-    frobenius: float
-    spectral: float
-    nuclear: float
-
-
-def norms(a) -> Norms:
-    """Frobenius, spectral, and nuclear norms (the latter two via the oracle)."""
-    a = as_matrix(a)
-    sig = svd_oracle(a).sigmas
-    return Norms(
-        frobenius=float(np.sqrt(np.sum(a * a))),
-        spectral=float(sig[0]) if sig.size else 0.0,
-        nuclear=float(sig.sum()),
-    )
-
-
 def ky_fan(a, k: int) -> float:
     """Sum of the k largest singular values."""
     a = as_matrix(a)
-    if not 1 <= k <= min(a.shape):
-        raise DataError("K_OUT_OF_RANGE", f"k={k} not in [1, {min(a.shape)}]")
+    check_k(k, 1, min(a.shape))
     return float(svd_oracle(a).sigmas[:k].sum())

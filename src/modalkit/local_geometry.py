@@ -23,8 +23,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DataError
-from .modal import ModalDecomposition
+from .errors import DataError, check_k
+from .modal import ModalDecomposition, truncated_table
 from .probability import JointPmf, Pmf, _freeze, kl_divergence
 
 
@@ -180,8 +180,7 @@ def random_orthonormal_features(pmf: Pmf, k: int, rng: np.random.Generator) -> n
     pmf-weighted inner product.  Requires k <= |alphabet| - 1.
     """
     n = len(pmf.alphabet)
-    if not 1 <= k <= n - 1:
-        raise DataError("K_OUT_OF_RANGE", f"k={k} not in [1, {n - 1}]")
+    check_k(k, 1, n - 1)
     if not pmf.strictly_positive:
         raise DataError("ZERO_REFERENCE", "need a strictly positive pmf")
     w = pmf.probs
@@ -260,8 +259,7 @@ def multiattribute_config(md: ModalDecomposition, k: int, eps: float) -> Attribu
     sigma_i u v [i = j]) / 4, whose mutual information is eps^4 sigma_i^2 / 2
     to leading order.
     """
-    if not 1 <= k <= md.order:
-        raise DataError("K_OUT_OF_RANGE", f"k={k} not in [1, {md.order}]")
+    check_k(k, 1, md.order)
     if eps <= 0:
         raise DataError("EPS_TOO_LARGE", "eps must be positive")
     f = md.f_features[:, :k]
@@ -280,7 +278,5 @@ def multiattribute_config(md: ModalDecomposition, k: int, eps: float) -> Attribu
 
 
 def _reconstructed_table(md: ModalDecomposition) -> np.ndarray:
-    core = (md.f_features * md.sigmas[None, :]) @ md.g_features.T
-    table = md.px.probs[:, None] * md.py.probs[None, :] * (1.0 + core)
-    table = np.clip(table, 0.0, None)
+    table = np.clip(truncated_table(md, md.order), 0.0, None)
     return table / table.sum()

@@ -29,7 +29,7 @@ from typing import Literal
 import numpy as np
 
 from . import linalg
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, check_k
 from .probability import Alphabet, JointPmf, Pmf, _freeze
 
 
@@ -228,8 +228,9 @@ def _zero_mode_directions(
 
     Singular vectors at sigma = 0 are an arbitrary basis of the null space,
     which contains the trivial sqrt-marginal direction; feature vectors must
-    avoid it.  Candidates are the oracle's own zero-block columns first
-    (kept when already valid), then canonical basis vectors.
+    avoid it.  Candidates are the caller's own zero-mode columns first (kept
+    when already valid), then canonical basis vectors.  Each direction
+    follows the sign rule on its own.
     """
     n = root.shape[0]
     basis = np.column_stack([taken, root]) if taken.size else root[:, None]
@@ -242,9 +243,7 @@ def _zero_mode_directions(
         if norm < 1e-6:
             continue
         v /= norm
-        lead = int(np.argmax(np.abs(v)))
-        if v[lead] < 0:
-            v = -v
+        v *= linalg.lead_signs(v[:, None])
         out.append(v)
         basis = np.column_stack([basis, v])
         if len(out) == need:
@@ -252,25 +251,28 @@ def _zero_mode_directions(
     raise NumericalError("BAD_DECOMPOSITION", "could not complete the zero-mode feature basis")
 
 
-def _features_from_cdm(cdm: Cdm, k: int) -> ModalDecomposition:
-    svd = linalg.svd_oracle(cdm.btilde)
-    rank = min(int(np.sum(svd.sigmas > _ZERO_SIGMA_TOL)), k)
-    sig = svd.sigmas[:k].copy()
+def finish_modes(
+    sigmas: np.ndarray, psi_x: np.ndarray, psi_y: np.ndarray, px: Pmf, py: Pmf
+) -> ModalDecomposition:
+    """Modal decomposition from k signed singular triplets in psi space.
+
+    Column i of ``psi_x`` is sqrt(P_X) f_i and of ``psi_y`` sqrt(P_Y) g_i,
+    already under the sign rule of whichever solver produced them.  Sigmas
+    at or below the zero floor become exact zeros and their columns are
+    replaced by a zero-mode basis that avoids the trivial direction; then
+    the columns are divided by the square-root marginals.  The oracle and
+    ACE both end here, so they share the zero floor and the zero-mode basis.
+    """
+    k = sigmas.size
+    rank = int(np.sum(sigmas > _ZERO_SIGMA_TOL))
+    sig = np.array(sigmas, dtype=float)
     sig[rank:] = 0.0
-    psi_x = svd.v[:, :k].copy()
-    psi_y = svd.u[:, :k].copy()
+    root_x, root_y = np.sqrt(px.probs), np.sqrt(py.probs)
+    psi_x, psi_y = np.array(psi_x, dtype=float), np.array(psi_y, dtype=float)
     if rank < k:
-        psi_x[:, rank:] = _zero_mode_directions(
-            svd.v[:, :rank], np.sqrt(cdm.px), svd.v[:, rank:], k - rank
-        )
-        psi_y[:, rank:] = _zero_mode_directions(
-            svd.u[:, :rank], np.sqrt(cdm.py), svd.u[:, rank:], k - rank
-        )
-    f = psi_x / np.sqrt(cdm.px)[:, None]
-    g = psi_y / np.sqrt(cdm.py)[:, None]
-    return ModalDecomposition(
-        sig, f, g, Pmf(cdm.x_alphabet, cdm.px), Pmf(cdm.y_alphabet, cdm.py)
-    )
+        psi_x[:, rank:] = _zero_mode_directions(psi_x[:, :rank], root_x, psi_x[:, rank:], k - rank)
+        psi_y[:, rank:] = _zero_mode_directions(psi_y[:, :rank], root_y, psi_y[:, rank:], k - rank)
+    return ModalDecomposition(sig, psi_x / root_x[:, None], psi_y / root_y[:, None], px, py)
 
 
 def decompose(
@@ -288,12 +290,16 @@ def decompose(
     Requires strictly positive marginals and 1 <= k <= K - 1.
     """
     kmax = min(len(joint.x_alphabet), len(joint.y_alphabet)) - 1
-    if not 1 <= k <= kmax:
-        raise DataError("K_OUT_OF_RANGE", f"k={k} not in [1, {kmax}]")
+    check_k(k, 1, kmax)
     if not joint.strictly_positive_marginals:
         raise DataError("ZERO_MARGINAL", "modal decomposition needs strictly positive marginals")
     if method == "oracle":
-        return _features_from_cdm(build_cdm(joint), k)
+        cdm = build_cdm(joint)
+        svd = linalg.svd_oracle(cdm.btilde)
+        return finish_modes(
+            svd.sigmas[:k], svd.v[:, :k], svd.u[:, :k],
+            Pmf(cdm.x_alphabet, cdm.px), Pmf(cdm.y_alphabet, cdm.py),
+        )
     if method == "ace":
         from . import ace  # local import; ace builds ModalDecomposition objects
 
@@ -306,18 +312,18 @@ def decompose(
 def maximal_correlation(joint: JointPmf, k: int) -> float:
     """HGR maximal correlation of order k: the Ky Fan k-norm of the CDM."""
     kmax = min(len(joint.x_alphabet), len(joint.y_alphabet)) - 1
-    if not 1 <= k <= kmax:
-        raise DataError("K_OUT_OF_RANGE", f"k={k} not in [1, {kmax}]")
+    check_k(k, 1, kmax)
     return linalg.ky_fan(build_cdm(joint).btilde, k)
 
 
-def _truncated_table(md: ModalDecomposition, k: int) -> np.ndarray:
-    wx = md.px.probs[:, None]
-    wy = md.py.probs[None, :]
-    if k == 0:
-        return wx * wy
-    core = (md.f_features[:, :k] * md.sigmas[:k][None, :]) @ md.g_features[:, :k].T
-    return wx * wy * (1.0 + core)
+def _expansion_core(md: ModalDecomposition, k: int) -> np.ndarray:
+    """sum_{i<=k} sigma_i f_i(x) g_i(y) as an |X| x |Y| table (zeros at k = 0)."""
+    return (md.f_features[:, :k] * md.sigmas[:k][None, :]) @ md.g_features[:, :k].T
+
+
+def truncated_table(md: ModalDecomposition, k: int) -> np.ndarray:
+    """Unclamped order-k expansion P_X P_Y (1 + sum_{i<=k} sigma_i f_i g_i)."""
+    return md.px.probs[:, None] * md.py.probs[None, :] * (1.0 + _expansion_core(md, k))
 
 
 def _clamp_small_negatives(table: np.ndarray, what: str) -> np.ndarray:
@@ -339,9 +345,8 @@ def reconstruct_truncated(md: ModalDecomposition, k: int) -> TruncatedJoint:
     k = 0 gives the product of the marginals; k equal to the full order
     reproduces the source joint exactly.  Marginals are preserved at every k.
     """
-    if not 0 <= k <= md.order:
-        raise DataError("K_OUT_OF_RANGE", f"k={k} not in [0, {md.order}]")
-    table = _clamp_small_negatives(_truncated_table(md, k), f"order-{k} truncation")
+    check_k(k, 0, md.order)
+    table = _clamp_small_negatives(truncated_table(md, k), f"order-{k} truncation")
     return TruncatedJoint(k, table / table.sum(), md.px, md.py)
 
 
@@ -354,12 +359,8 @@ def posterior_truncated(
     g_i(y)) indexed [x, y]; for ``"x|y"`` rows P^(k)(x | y) indexed [y, x].
     Each row sums to 1.
     """
-    if not 0 <= k <= md.order:
-        raise DataError("K_OUT_OF_RANGE", f"k={k} not in [0, {md.order}]")
-    if k == 0:
-        core = np.zeros((len(md.px.alphabet), len(md.py.alphabet)))
-    else:
-        core = (md.f_features[:, :k] * md.sigmas[:k][None, :]) @ md.g_features[:, :k].T
+    check_k(k, 0, md.order)
+    core = _expansion_core(md, k)
     if direction == "y|x":
         table = md.py.probs[None, :] * (1.0 + core)
     elif direction == "x|y":
@@ -374,6 +375,5 @@ def local_mi(md: ModalDecomposition, k: int | None = None) -> float:
     """Weak-dependence mutual-information approximation (1/2) sum sigma_i^2."""
     if k is None:
         k = md.order
-    if not 0 <= k <= md.order:
-        raise DataError("K_OUT_OF_RANGE", f"k={k} not in [0, {md.order}]")
+    check_k(k, 0, md.order)
     return 0.5 * float(np.sum(np.asarray(md.sigmas[:k]) ** 2))

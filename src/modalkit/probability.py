@@ -79,7 +79,7 @@ class Pmf:
         p = np.asarray(self.probs, dtype=float)
         if p.shape != (len(self.alphabet),):
             raise DataError("SHAPE_MISMATCH", "probability vector does not match alphabet size")
-        if np.any(p < 0):
+        if not np.all(p >= 0):
             raise DataError("NEGATIVE_PROB", "probabilities must be nonnegative")
         if abs(p.sum() - 1.0) > INTERNAL_TOL:
             raise DataError("SUM_NOT_ONE", f"probabilities sum to {p.sum()!r}, not 1")
@@ -105,7 +105,7 @@ class JointPmf:
         p = np.asarray(self.probs, dtype=float)
         if p.shape != (len(self.x_alphabet), len(self.y_alphabet)):
             raise DataError("SHAPE_MISMATCH", "joint table does not match alphabet sizes")
-        if np.any(p < 0):
+        if not np.all(p >= 0):
             raise DataError("NEGATIVE_PROB", "probabilities must be nonnegative")
         if abs(p.sum() - 1.0) > INTERNAL_TOL:
             raise DataError("SUM_NOT_ONE", f"joint probabilities sum to {p.sum()!r}, not 1")
@@ -157,7 +157,7 @@ def joint_from_table(rows: Sequence[tuple[str, str, float]]) -> JointPmf:
     ys: list[str] = []
     seen: set[tuple[str, str]] = set()
     for x, y, p in rows:
-        if p < 0:
+        if not p >= 0:
             raise DataError("NEGATIVE_PROB", f"cell ({x!r}, {y!r}) has probability {p}")
         if (x, y) in seen:
             raise DataError("DUPLICATE_CELL", f"cell ({x!r}, {y!r}) listed twice")

@@ -7,7 +7,7 @@ throughout; the package's own Jacobi SVD is the implementation under test.
 import numpy as np
 import pytest
 
-from modalkit import JointPmf, Pmf, alphabet
+from modalkit import JointPmf, Pmf, alphabet, random_orthonormal_features, synth_weak_joint
 
 
 def bss(rho: float, x_symbols=("0", "1"), y_symbols=("0", "1")) -> JointPmf:
@@ -34,6 +34,24 @@ def random_pmf(rng: np.random.Generator, n: int, conc: float = 6.0) -> Pmf:
     p = rng.dirichlet(np.full(n, conc))
     p = np.maximum(p, 1e-6)
     return Pmf(alphabet(f"z{i}" for i in range(n)), p / p.sum())
+
+
+def planted_joint(rng: np.random.Generator, nx: int, ny: int, rank: int) -> JointPmf:
+    """Weakly dependent joint with exactly `rank` nonzero modes.
+
+    Built by ``synth_weak_joint``; sigmas are scaled so that every truncation
+    order of the expansion stays nonnegative.
+    """
+    pmfs = []
+    for n, tag in ((nx, "x"), (ny, "y")):
+        p = rng.dirichlet(np.full(n, 8.0)) + 0.2 / n
+        pmfs.append(Pmf(alphabet(f"{tag}{i}" for i in range(n)), p / p.sum()))
+    px, py = pmfs
+    f = random_orthonormal_features(px, rank, rng)
+    g = random_orthonormal_features(py, rank, rng)
+    shape = np.sort(rng.uniform(0.2, 1.0, rank))[::-1]
+    worst = float(np.sum(shape * np.abs(f).max(axis=0) * np.abs(g).max(axis=0)))
+    return synth_weak_joint(px, py, list(f.T), list(g.T), shape * (0.9 / worst))
 
 
 def projector(cols: np.ndarray) -> np.ndarray:

@@ -7,7 +7,7 @@ import modalkit as mk
 from modalkit import AceOptions, DataError
 from modalkit import linalg
 
-from conftest import assert_code, bss, projector, random_joint
+from conftest import assert_code, bss, planted_joint, projector, random_joint
 
 
 class TestOrthogonalIteration:
@@ -120,6 +120,31 @@ class TestAceDiscrete:
         np.testing.assert_allclose(
             projector(wf * md.f_features), projector(wf * oracle.f_features), atol=1e-6
         )
+
+
+    def test_order_above_rank_completes_zero_modes(self, rng):
+        """k above the joint's rank: the nonzero modes match the oracle, the
+        rest are exact zeros whose features still satisfy every constraint."""
+        j = planted_joint(rng, 5, 6, 2)
+        md, tr = mk.ace_discrete(j, 4, AceOptions(tol=1e-14, seed=3))
+        oracle = mk.decompose(j, 4)
+        assert tr.converged
+        np.testing.assert_allclose(md.sigmas[:2], oracle.sigmas[:2], atol=1e-8)
+        assert np.all(md.sigmas[2:] == 0.0)
+        for feats, ref, p in (
+            (md.f_features, oracle.f_features, j.x_marginal.probs),
+            (md.g_features, oracle.g_features, j.y_marginal.probs),
+        ):
+            w = np.sqrt(p)[:, None]
+            np.testing.assert_allclose(
+                projector(w * feats[:, :2]), projector(w * ref[:, :2]), atol=1e-6
+            )
+            assert np.max(np.abs(p @ feats)) <= 1e-12  # orthogonal to sqrt(P)
+            # the jittered whitening leaves the nonzero modes' Gram ~1e-11 off
+            assert np.max(np.abs((feats * p[:, None]).T @ feats - np.eye(4))) <= 1e-9
+        psi_x = np.sqrt(j.x_marginal.probs)[:, None] * md.f_features
+        for col in psi_x.T:
+            assert col[np.argmax(np.abs(col))] > 0
 
 
 class TestAceGaussian:

@@ -171,3 +171,52 @@ class TestExitCodes:
         code, _, err = run(capsys, ["decompose", "--input", str(path), "--k", "1"])
         assert code == 2
         assert "BAD_TSV" in err
+
+
+class TestErrorContract:
+    """Invalid input exits with its documented code and exactly one
+    `error[CODE]` line on stderr, never a traceback."""
+
+    @staticmethod
+    def assert_one_error(code, out, err, want_exit, want_code):
+        assert code == want_exit
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error[{want_code}]: "), err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--trials", "0"], ["--trials", "-3"], ["--n-grid", "0"], ["--n-grid", ","]],
+        ids=["trials-0", "trials-negative", "n-grid-0", "n-grid-empty"],
+    )
+    @pytest.mark.parametrize("experiment", ["sigma", "feature", "mi"])
+    def test_bad_monte_carlo_options(self, capsys, bss_tsv, flags, experiment):
+        argv = ["sample-complexity", "--input", bss_tsv, "--experiment", experiment, *flags]
+        self.assert_one_error(*run(capsys, argv), 2, "BAD_OPTIONS")
+
+    @pytest.mark.parametrize(
+        "command,content,flags,want",
+        [
+            ("decompose", None, [], "IO_ERROR"),
+            ("decompose", b"0\t0\t\xff\xfe\n", [], "BAD_ENCODING"),
+            ("decompose", b'{"rows": [', ["--format", "json"], "BAD_JSON"),
+            ("cca", b"{not json", [], "BAD_JSON"),
+            ("gauss-regress", b"{not json", [], "BAD_JSON"),
+            ("cca", b"[1, 2]", [], "BAD_JSON"),
+            ("cca", b'{"cov_x": [["a"]], "cov_y": [[1.0]], "cov_xy": [[0.1]]}', [], "BAD_JSON"),
+            ("cca", b'{"cov_x": [[1.0, 0.0], [0.0]], "cov_y": [[1.0]], "cov_xy": [[0.1]]}', [], "BAD_JSON"),
+            ("decompose", b"0\t0\tnan\n0\t1\t0.5\n1\t0\t0.25\n1\t1\t0.25\n", [], "NEGATIVE_PROB"),
+        ],
+        ids=[
+            "directory", "non-utf8", "bad-joint-json", "bad-cca-json", "bad-regress-json",
+            "gaussian-list", "gaussian-non-numeric", "gaussian-ragged", "nan-cell",
+        ],
+    )
+    def test_bad_input(self, capsys, tmp_path, command, content, flags, want):
+        path = tmp_path / "input"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        argv = [command, "--input", str(path), *flags]
+        self.assert_one_error(*run(capsys, argv), 2, want)

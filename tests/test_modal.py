@@ -4,12 +4,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import modalkit as mk
 from modalkit import DataError, NumericalError
 from modalkit import linalg
 
-from conftest import assert_code, bss, projector, random_joint
+from conftest import assert_code, bss, planted_joint, projector, random_joint
 
 
 class TestDtm:
@@ -333,3 +334,28 @@ class TestRepeatedSigmaSubspaces:
         np.testing.assert_allclose(
             projector(psi), projector(svd.v[:, :2]), atol=1e-8
         )
+
+
+class TestRankDeficientProperties:
+    """Oracle path on random joints of planted rank below K - 1, so the
+    full-order decomposition always completes at least one zero mode."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(3, 6), st.integers(3, 6), st.integers(0, 2**32 - 1), st.data())
+    def test_expansion_zero_modes_and_signs(self, nx, ny, seed, data):
+        rank = data.draw(st.integers(1, min(nx, ny) - 2), label="rank")
+        j = planted_joint(np.random.default_rng(seed), nx, ny, rank)
+        md = mk.decompose(j, min(nx, ny) - 1)
+        px, py = j.x_marginal.probs, j.y_marginal.probs
+        assert np.max(np.abs(mk.reconstruct_truncated(md, md.order).probs - j.probs)) <= 1e-12
+        for t in range(md.order + 1):
+            table = mk.reconstruct_truncated(md, t).probs
+            assert np.max(np.abs(table.sum(axis=1) - px)) <= 1e-12
+            assert np.max(np.abs(table.sum(axis=0) - py)) <= 1e-12
+        assert np.all(md.sigmas[:rank] > 1e-12)
+        assert np.all(md.sigmas[rank:] == 0.0)
+        # README sign rule: the Jacobi SVD signs the right singular vectors of
+        # the tall orientation, which is psi_y when |X| > |Y|.
+        psi = np.sqrt(px)[:, None] * md.f_features if nx <= ny else np.sqrt(py)[:, None] * md.g_features
+        for col in psi.T:
+            assert col[np.argmax(np.abs(col))] > 0

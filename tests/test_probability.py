@@ -26,6 +26,20 @@ class TestJointFromTable:
             mk.joint_from_table([("a", "b", -0.1), ("a", "c", 1.1)])
         assert_code(err, "NEGATIVE_PROB")
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: mk.Pmf(mk.alphabet("ab"), np.array([math.nan, 1.0])),
+            lambda: mk.JointPmf(mk.alphabet("ab"), mk.alphabet("c"), np.array([[math.nan], [1.0]])),
+            lambda: mk.joint_from_table([("a", "b", math.nan), ("a", "c", 1.0)]),
+        ],
+        ids=["pmf", "joint", "table"],
+    )
+    def test_rejects_nan(self, build):
+        with pytest.raises(DataError) as err:
+            build()
+        assert_code(err, "NEGATIVE_PROB")
+
     def test_rejects_bad_total(self):
         with pytest.raises(DataError) as err:
             mk.joint_from_table([("a", "b", 0.5), ("a", "c", 0.6)])
