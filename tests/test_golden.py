@@ -1,10 +1,13 @@
 """Frozen CLI outputs: every case re-runs the CLI in-process and compares
 its stdout with the file under ``tests/golden/``.
 
-Fixture cases must match byte for byte.  The rank-deficient cases (a joint
-of planted rank 2 decomposed at order 4, so two zero modes are completed on
-both the oracle and the ACE path) must agree within 1e-12 absolute on every
-number, since the zero-mode basis passes through a sqrt-marginal round trip.
+Fixture cases must match byte for byte, and so must the Gaussian cases
+(``cca`` and ``gauss-regress`` on ``gauss_model.json``, a fixed 4 x 3 model
+whose CCM is wide, so the Jacobi SVD takes its transposed branch).  The
+rank-deficient cases (a joint of planted rank 2 decomposed at order 4, so
+two zero modes are completed on both the oracle and the ACE path) must
+agree within 1e-12 absolute on every number, since the zero-mode basis
+passes through a sqrt-marginal round trip.
 
 Regenerate (only when an output change is intended and recorded in
 CHANGES.md) with ``PYTHONPATH=src python tests/test_golden.py``.
@@ -22,6 +25,7 @@ from modalkit.cli import cli
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 RANKDEF_INPUT = GOLDEN / "synth_rankdef.json"
+GAUSS_INPUT = GOLDEN / "gauss_model.json"
 
 
 def _fixture_cases():
@@ -40,6 +44,12 @@ def _fixture_cases():
     yield "synth_rankdef", [
         "synth", "--k", "2", "--seed", "7", "--x-size", "6", "--y-size", "5", "--eps", "0.1",
     ]
+
+
+def _gaussian_cases():
+    src = ["--input", str(GAUSS_INPUT)]
+    yield "cca_gauss", ["cca", *src, "--k", "2"]
+    yield "gauss-regress_gauss", ["gauss-regress", *src, "--k", "2"]
 
 
 def _rankdef_cases():
@@ -72,7 +82,9 @@ def _assert_close(got, want, where="$"):
         assert got == want, where
 
 
-@pytest.mark.parametrize("name,argv", [pytest.param(n, a, id=n) for n, a in _fixture_cases()])
+@pytest.mark.parametrize(
+    "name,argv", [pytest.param(n, a, id=n) for n, a in [*_fixture_cases(), *_gaussian_cases()]]
+)
 def test_fixture_output_is_byte_identical(name, argv):
     assert _run(argv) == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
 
@@ -86,5 +98,5 @@ def test_rank_deficient_output_within_1e12(name, argv):
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     # The rank-deficient cases read synth_rankdef.json, so fixture cases go first.
-    for name, argv in [*_fixture_cases(), *_rankdef_cases()]:
+    for name, argv in [*_fixture_cases(), *_gaussian_cases(), *_rankdef_cases()]:
         (GOLDEN / f"{name}.json").write_text(_run(argv), encoding="utf-8")
