@@ -36,7 +36,7 @@ class AceOptions:
     jitter: float = 1e-12
 
     def __post_init__(self):
-        if self.tol <= 0 or self.max_iters < 1 or self.jitter < 0:
+        if not self.tol > 0 or self.max_iters < 1 or not self.jitter >= 0:
             raise DataError("BAD_OPTIONS", "need tol > 0, max_iters >= 1, jitter >= 0")
 
 
@@ -192,13 +192,11 @@ def ace_discrete(
     f_hat = _whiten(f_bar, gram_x, opts.jitter, None)
     core = g_hat.T @ pxy.T @ f_hat  # [j, i] = E[g_j(Y) f_i(X)]
     sigmas, g_hat, f_hat = _align_modes(core, g_hat, f_hat)
-    # The package's sign rule on each psi_x column, its psi_y partner
-    # flipping with it.  Zero modes carry no signal through the conditional
-    # expectations, so their columns are whatever the (jittered) whitening
-    # left behind; finish_modes replaces them exactly as on the oracle path.
+    # Zero modes carry no signal through the conditional expectations, so
+    # their columns are whatever the (jittered) whitening left behind;
+    # finish_modes replaces them exactly as on the oracle path.
     psi_x, psi_y = np.sqrt(px)[:, None] * f_hat, np.sqrt(py)[:, None] * g_hat
-    signs = linalg.lead_signs(psi_x)
-    md = finish_modes(sigmas, psi_x * signs, psi_y * signs, joint.x_marginal, joint.y_marginal)
+    md = finish_modes(sigmas, psi_x, psi_y, joint.x_marginal, joint.y_marginal)
     trace = AceTrace(tuple(monitor), converged, len(monitor), whiten_dev, center_dev)
     return md, trace
 
@@ -221,10 +219,8 @@ def ace_gaussian(gauss, k: int, opts: AceOptions = AceOptions()):
         raise DataError("SHAPE_MISMATCH", "ace_gaussian expects a GaussianJoint")
     check_k(k, 1, min(gauss.dim_x, gauss.dim_y))
 
-    cov_x, cov_y = gauss.cov_x, gauss.cov_y
     cov_yx = gauss.cov_xy.T
-    low_x = linalg.cholesky(cov_x)
-    low_y = linalg.cholesky(cov_y)
+    low_x, low_y = gauss._low_x, gauss._low_y
 
     gram_x = lambda b: b.T @ (low_x @ (low_x.T @ b))
     gram_y = lambda b: b.T @ (low_y @ (low_y.T @ b))
@@ -237,9 +233,9 @@ def ace_gaussian(gauss, k: int, opts: AceOptions = AceOptions()):
     for iteration in range(opts.max_iters):
         redraw = (lambda: rng.standard_normal(f_bar.shape)) if iteration == 0 else None
         f_hat = _whiten(f_bar, gram_x, opts.jitter, redraw)
-        g_bar = linalg.chol_solve(cov_y, cov_yx @ f_hat)
+        g_bar = linalg.solve_factored(low_y, cov_yx @ f_hat)
         g_hat = _whiten(g_bar, gram_y, opts.jitter, None)
-        f_bar = linalg.chol_solve(cov_x, cov_yx.T @ g_hat)
+        f_bar = linalg.solve_factored(low_x, cov_yx.T @ g_hat)
         monitor.append(float(np.trace(g_hat.T @ cov_yx @ f_bar)))
         if _stopped(monitor, opts.tol):
             converged = True

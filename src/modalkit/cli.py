@@ -167,6 +167,8 @@ def _cmd_synth(args) -> dict:
     kmax = min(args.x_size, args.y_size) - 1
     if not 1 <= args.k <= kmax:
         raise UsageError("USAGE", f"synth needs 1 <= k <= {kmax}")
+    if not 0 <= args.eps < np.inf:
+        raise UsageError("USAGE", "synth needs a finite --eps >= 0")
     rng = np.random.default_rng(args.seed)
     px = probability.Pmf(
         probability.alphabet(f"x{i}" for i in range(args.x_size)),

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DataError, check_k
-from .modal import build_cdm, build_quasi_cdm
+from .modal import build_cdm, cdm_matrix
 from .probability import JointPmf, Pmf
 
 
@@ -157,16 +157,6 @@ def _stderr(freq: float, trials: int) -> float:
     return math.sqrt(freq * (1.0 - freq) / trials)
 
 
-def _empirical_joint(joint: JointPmf, n: int, rng: np.random.Generator) -> JointPmf:
-    counts = rng.multinomial(n, joint.probs.ravel()).reshape(joint.probs.shape)
-    return JointPmf(joint.x_alphabet, joint.y_alphabet, counts / n)
-
-
-def _quasi_sigmas(joint: JointPmf, emp: JointPmf, k: int) -> np.ndarray:
-    quasi = build_quasi_cdm(emp, (joint.x_marginal, joint.y_marginal))
-    return linalg.svd_oracle(quasi.btilde).sigmas[:k]
-
-
 def _mc_setup(joint: JointPmf, n_grid, delta_grid, k: int, trials: int, delta_cap):
     """Checks shared by the tail experiments, then the true spectrum.
 
@@ -182,8 +172,8 @@ def _mc_setup(joint: JointPmf, n_grid, delta_grid, k: int, trials: int, delta_ca
     for d in delta_grid:
         if not 0 <= d <= dmax:
             raise DataError("DELTA_OUT_OF_RANGE", f"delta={d} outside [0, {dmax}]")
-    if trials < 1 or len(n_grid) == 0 or min(n_grid) < 1:
-        raise DataError("BAD_OPTIONS", "need trials >= 1 and a non-empty grid of sample sizes >= 1")
+    if trials < 1 or len(n_grid) == 0 or min(n_grid) < 1 or len(delta_grid) == 0:
+        raise DataError("BAD_OPTIONS", "need trials >= 1 and non-empty grids with sample sizes >= 1")
     cdm = build_cdm(joint).btilde
     return p0, cdm, linalg.svd_oracle(cdm)
 
@@ -200,12 +190,15 @@ def _run_tail(
     alt_bound=None,
     mse=None,
 ) -> tuple[TailCell, ...]:
+    """Tabulate the tails of ``statistic``, a map from one trial's quasi-CDM SVD to a number."""
+    px, py = joint.x_marginal.probs, joint.y_marginal.probs
     cells = []
     for ni, n in enumerate(n_grid):
         stats = np.empty(trials)
         for t in range(trials):
             rng = np.random.default_rng(derive_seed(seed, ni, t))
-            stats[t] = statistic(_empirical_joint(joint, n, rng))
+            counts = rng.multinomial(n, joint.probs.ravel()).reshape(joint.probs.shape)
+            stats[t] = statistic(linalg.svd_oracle(cdm_matrix(counts / n, px, py)))
         for delta in delta_grid:
             count = int(np.sum(stats >= delta))
             freq = count / trials
@@ -240,8 +233,8 @@ def mc_sigma_tail(
     true_sig = svd_true.sigmas[:k]
     n_x, n_y = len(joint.x_alphabet), len(joint.y_alphabet)
 
-    def statistic(emp: JointPmf) -> float:
-        return float(np.abs(_quasi_sigmas(joint, emp, k) - true_sig).sum())
+    def statistic(svd: linalg.SvdResult) -> float:
+        return float(np.abs(svd.sigmas[:k] - true_sig).sum())
 
     cells = _run_tail(
         joint,
@@ -278,15 +271,12 @@ def mc_feature_quality(
     captured_true = float(np.sum(svd_true.sigmas[:k] ** 2))
     sig_diag = np.diag(svd_true.sigmas[:k])
     n_x, n_y = len(joint.x_alphabet), len(joint.y_alphabet)
-    marg = (joint.x_marginal, joint.y_marginal)
 
-    def statistic(emp: JointPmf) -> float:
-        quasi = build_quasi_cdm(emp, marg)
-        svd_emp = linalg.svd_oracle(quasi.btilde)
-        psi_x = svd_emp.v[:, :k]
+    def statistic(svd: linalg.SvdResult) -> float:
+        psi_x = svd.v[:, :k]
         if metric == "mu2":
             return captured_true - float(np.sum((cdm @ psi_x) ** 2))
-        psi_y = svd_emp.u[:, :k]
+        psi_y = svd.u[:, :k]
         return float(np.sqrt(np.sum((sig_diag - psi_y.T @ cdm @ psi_x) ** 2)))
 
     if metric not in ("mu2", "mu2prime"):
@@ -319,8 +309,8 @@ def mc_mi_error(
     true_sig = svd_true.sigmas[:k]
     true_half = 0.5 * float(np.sum(true_sig**2))
 
-    def statistic(emp: JointPmf) -> float:
-        est = 0.5 * float(np.sum(_quasi_sigmas(joint, emp, k) ** 2))
+    def statistic(svd: linalg.SvdResult) -> float:
+        est = 0.5 * float(np.sum(svd.sigmas[:k] ** 2))
         return abs(est - true_half)
 
     cells = _run_tail(

@@ -9,6 +9,9 @@ plays the role the CDM plays for finite alphabets: its singular values are
 the canonical correlations, its singular vectors give the CCA feature maps,
 and every quantity downstream (mutual information, common information,
 rank-constrained regression, attribute matching) is a function of this SVD.
+A :class:`GaussianJoint` computes the Cholesky factors of its marginal
+covariances, the CCM and the CCM's SVD once, at construction (the SVD also
+checks that the stacked covariance is PSD); the functions here read them.
 
 Matrix square roots are taken as Cholesky factors throughout; that choice is
 basis-relevant for the feature matrices F, G but invisible to every asserted
@@ -52,24 +55,24 @@ class GaussianJoint:
             raise DataError("SHAPE_MISMATCH", "covariances must be square")
         if cxy.shape != (cx.shape[0], cy.shape[0]):
             raise DataError("SHAPE_MISMATCH", "cross-covariance shape mismatch")
-        object.__setattr__(self, "cov_x", _freeze(cx))
-        object.__setattr__(self, "cov_y", _freeze(cy))
-        object.__setattr__(self, "cov_xy", _freeze(cxy))
+        for name, value in (("cov_x", cx), ("cov_y", cy), ("cov_xy", cxy)):
+            object.__setattr__(self, name, _freeze(value))
         # PD marginals (raises NOT_POSITIVE_DEFINITE) and sigma_max <= 1.
         low_x = linalg.cholesky(self.cov_x)
         low_y = linalg.cholesky(self.cov_y)
-        object.__setattr__(self, "_low_x", _freeze(low_x))
-        object.__setattr__(self, "_low_y", _freeze(low_y))
-        sig = linalg.svd_oracle(self._ccm_from(low_x, low_y)).sigmas
+        m = linalg.solve_lower(low_y, self.cov_xy.T)  # L_Y^{-1} Lambda_YX
+        ccm = linalg.solve_lower(low_x, m.T).T  # ... L_X^{-T}
+        svd = linalg.svd_oracle(ccm)
+        svd = linalg.SvdResult(_freeze(svd.u), _freeze(svd.sigmas), _freeze(svd.v))
+        for name, value in (("_low_x", low_x), ("_low_y", low_y), ("_ccm", ccm)):
+            object.__setattr__(self, name, _freeze(value))
+        object.__setattr__(self, "_ccm_svd", svd)
+        sig = svd.sigmas
         if sig.size and sig[0] > 1.0 + SIGMA_ONE_TOL:
             raise NumericalError(
                 "NOT_POSITIVE_DEFINITE",
                 f"canonical correlation {sig[0]!r} exceeds 1; stacked covariance is not PSD",
             )
-
-    def _ccm_from(self, low_x: np.ndarray, low_y: np.ndarray) -> np.ndarray:
-        m = linalg.solve_lower(low_y, self.cov_xy.T)  # L_Y^{-1} Lambda_YX
-        return linalg.solve_lower(low_x, m.T).T  # ... L_X^{-T}
 
     @property
     def dim_x(self) -> int:
@@ -134,16 +137,16 @@ class CcaDecomposition:
 
 
 def build_ccm(gauss: GaussianJoint) -> np.ndarray:
-    """Canonical correlation matrix (dim_y x dim_x)."""
-    return gauss._ccm_from(gauss._low_x, gauss._low_y)
+    """Canonical correlation matrix (dim_y x dim_x), read-only."""
+    return gauss._ccm
 
 
 def cca(gauss: GaussianJoint, k: int) -> CcaDecomposition:
     """Top-k canonical correlation analysis via the CCM's SVD."""
     check_k(k, 1, min(gauss.dim_x, gauss.dim_y))
-    svd = linalg.svd_oracle(build_ccm(gauss))
-    f = linalg.solve_upper(np.asarray(gauss._low_x).T, svd.v[:, :k])
-    g = linalg.solve_upper(np.asarray(gauss._low_y).T, svd.u[:, :k])
+    svd = gauss._ccm_svd
+    f = linalg.solve_upper(gauss._low_x.T, svd.v[:, :k])
+    g = linalg.solve_upper(gauss._low_y.T, svd.u[:, :k])
     return CcaDecomposition(f, g, svd.sigmas[:k].copy())
 
 
@@ -158,7 +161,7 @@ def gaussian_mi(gauss: GaussianJoint, k: int | None = None) -> GaussianMi:
     exact = -1/2 sum log(1 - sigma_i^2); local = 1/2 sum_{i<=k} sigma_i^2.
     The exact value requires sigma_max < 1.
     """
-    sig = linalg.svd_oracle(build_ccm(gauss)).sigmas
+    sig = gauss._ccm_svd.sigmas
     if k is None:
         k = sig.size
     check_k(k, 0, sig.size)
@@ -256,10 +259,9 @@ def rank_k_regression_kl(gauss: GaussianJoint, k: int) -> RankKRegression:
     rank at most k, the one closest in KL keeps the top-k CCM modes:
     cross_cov = Cov_Y G* Sigma_k F*^T Cov_X, predictor = cross_cov Cov_X^{-1}.
     """
-    check_k(k, 1, min(gauss.dim_x, gauss.dim_y))
-    dec = cca(gauss, k)
+    dec = cca(gauss, k)  # checks k
     cross = gauss.cov_y @ (dec.g * dec.sigmas[None, :]) @ dec.f.T @ gauss.cov_x
-    predictor = linalg.chol_solve(gauss.cov_x, cross.T).T
+    predictor = linalg.solve_factored(gauss._low_x, cross.T).T
     return RankKRegression(cross, predictor)
 
 
@@ -271,7 +273,7 @@ def rank_k_regression_mmse(gauss: GaussianJoint, k: int) -> np.ndarray:
     KL-optimal one unless Cov_Y = I.
     """
     check_k(k, 1, min(gauss.dim_x, gauss.dim_y))
-    low_x = np.asarray(gauss._low_x)
+    low_x = gauss._low_x
     half = linalg.solve_lower(low_x, gauss.cov_xy).T  # Lambda_YX L_X^{-T}
     svd = linalg.svd_oracle(half).truncate(k)
     return linalg.solve_upper(low_x.T, svd.reconstruct().T).T  # [half]_k L_X^{-1}

@@ -123,7 +123,11 @@ def solve_upper(up, b) -> np.ndarray:
 
 def chol_solve(s, b) -> np.ndarray:
     """Solve S z = b for symmetric positive definite S via its Cholesky factor."""
-    low = cholesky(s)
+    return solve_factored(cholesky(s), b)
+
+
+def solve_factored(low, b) -> np.ndarray:
+    """Solve L L^T z = b given the lower Cholesky factor L of S = L L^T."""
     return solve_upper(low.T, solve_lower(low, b))
 
 

@@ -185,15 +185,20 @@ def dtm_to_joint(dtm: Dtm) -> JointPmf:
     return JointPmf(dtm.x_alphabet, dtm.y_alphabet, table / table.sum())
 
 
+def cdm_matrix(table: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarray:
+    """(P^T - P_Y P_X^T) / sqrt(P_Y P_X^T) for an |X| x |Y| table P and positive marginals:
+    the CDM with P's own marginals, the quasi-CDM with the true ones of an empirical P."""
+    denom = np.sqrt(px[None, :] * py[:, None])
+    return (table.T - px[None, :] * py[:, None]) / denom
+
+
 def build_cdm(joint: JointPmf) -> Cdm:
     """CDM of a joint with strictly positive marginals."""
     if not joint.strictly_positive_marginals:
         raise DataError("ZERO_MARGINAL", "CDM needs strictly positive marginals")
     px = joint.x_marginal.probs
     py = joint.y_marginal.probs
-    denom = np.sqrt(px[None, :] * py[:, None])
-    btilde = (joint.probs.T - px[None, :] * py[:, None]) / denom
-    return Cdm(btilde, joint.x_alphabet, joint.y_alphabet, px, py)
+    return Cdm(cdm_matrix(joint.probs, px, py), joint.x_alphabet, joint.y_alphabet, px, py)
 
 
 def build_quasi_cdm(empirical: JointPmf, true_marginals: tuple[Pmf, Pmf]) -> Cdm:
@@ -209,9 +214,7 @@ def build_quasi_cdm(empirical: JointPmf, true_marginals: tuple[Pmf, Pmf]) -> Cdm
     if px_pmf.alphabet != empirical.x_alphabet or py_pmf.alphabet != empirical.y_alphabet:
         raise DataError("SHAPE_MISMATCH", "marginal alphabets do not match the empirical table")
     px, py = px_pmf.probs, py_pmf.probs
-    denom = np.sqrt(px[None, :] * py[:, None])
-    btilde = (empirical.probs.T - px[None, :] * py[:, None]) / denom
-    return Cdm(btilde, empirical.x_alphabet, empirical.y_alphabet, px, py)
+    return Cdm(cdm_matrix(empirical.probs, px, py), empirical.x_alphabet, empirical.y_alphabet, px, py)
 
 
 # ---------------------------------------------------------------------------
@@ -256,19 +259,20 @@ def finish_modes(
 ) -> ModalDecomposition:
     """Modal decomposition from k signed singular triplets in psi space.
 
-    Column i of ``psi_x`` is sqrt(P_X) f_i and of ``psi_y`` sqrt(P_Y) g_i,
-    already under the sign rule of whichever solver produced them.  Sigmas
-    at or below the zero floor become exact zeros and their columns are
-    replaced by a zero-mode basis that avoids the trivial direction; then
-    the columns are divided by the square-root marginals.  The oracle and
-    ACE both end here, so they share the zero floor and the zero-mode basis.
+    Column i of ``psi_x`` is sqrt(P_X) f_i and of ``psi_y`` sqrt(P_Y) g_i.
+    Each psi_x column takes the sign rule, its psi_y partner flipping with
+    it.  Sigmas at or below the zero floor become exact zeros and their
+    columns are replaced by a zero-mode basis that avoids the trivial
+    direction; then the columns are divided by the square-root marginals.
+    The oracle and ACE both end here, so they share all three conventions.
     """
     k = sigmas.size
     rank = int(np.sum(sigmas > _ZERO_SIGMA_TOL))
     sig = np.array(sigmas, dtype=float)
     sig[rank:] = 0.0
     root_x, root_y = np.sqrt(px.probs), np.sqrt(py.probs)
-    psi_x, psi_y = np.array(psi_x, dtype=float), np.array(psi_y, dtype=float)
+    signs = linalg.lead_signs(psi_x)
+    psi_x, psi_y = psi_x * signs, psi_y * signs
     if rank < k:
         psi_x[:, rank:] = _zero_mode_directions(psi_x[:, :rank], root_x, psi_x[:, rank:], k - rank)
         psi_y[:, rank:] = _zero_mode_directions(psi_y[:, :rank], root_y, psi_y[:, rank:], k - rank)

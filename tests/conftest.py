@@ -59,6 +59,21 @@ def projector(cols: np.ndarray) -> np.ndarray:
     return q @ q.T
 
 
+class CallCount:
+    """Counts the calls to ``owner.name`` for one test (patched through
+    ``monkeypatch``, so every caller that looks the name up is counted)."""
+
+    def __init__(self, monkeypatch, owner, name: str):
+        self.n = 0
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            self.n += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+
 def assert_code(excinfo, code: str) -> None:
     assert excinfo.value.code == code, f"expected {code}, got {excinfo.value.code}"
 

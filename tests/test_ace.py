@@ -7,7 +7,7 @@ import modalkit as mk
 from modalkit import AceOptions, DataError
 from modalkit import linalg
 
-from conftest import assert_code, bss, planted_joint, projector, random_joint
+from conftest import CallCount, assert_code, bss, planted_joint, projector, random_joint
 
 
 class TestOrthogonalIteration:
@@ -177,6 +177,18 @@ class TestAceGaussian:
         assert np.max(np.abs(projector(dec.f) - projector(oracle.f))) <= 1e-6
         assert np.max(np.abs(projector(dec.g) - projector(oracle.g))) <= 1e-6
 
+    def test_only_whitening_factors(self, rng, monkeypatch):
+        """The conditional expectations solve with the model's stored
+        factors, so the only Cholesky calls left are the whitening steps."""
+        a = rng.standard_normal((10, 10))
+        g = mk.GaussianJoint(
+            a @ a.T + 10 * np.eye(10), np.eye(10), 0.3 * rng.standard_normal((10, 10))
+        )
+        chols = CallCount(monkeypatch, linalg, "cholesky")
+        whitens = CallCount(monkeypatch, mk.ace, "_whiten")
+        _, tr = mk.ace_gaussian(g, 3)
+        assert tr.converged and chols.n == whitens.n == 2 * tr.iterations + 1
+
     def test_monitor_ascends(self, rng):
         a = rng.standard_normal((3, 3))
         g = mk.GaussianJoint(
@@ -194,3 +206,9 @@ class TestAceOptions:
             AceOptions(max_iters=0)
         with pytest.raises(DataError):
             AceOptions(jitter=-1.0)
+
+    @pytest.mark.parametrize("field", ["tol", "jitter"])
+    def test_nan_rejected(self, field):
+        with pytest.raises(DataError) as err:
+            AceOptions(**{field: float("nan")})
+        assert_code(err, "BAD_OPTIONS")

@@ -1,13 +1,17 @@
 """Command-line surface: subcommands, formats, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 import modalkit as mk
+from modalkit import linalg
 from modalkit.cli import cli
 
-from conftest import bss
+from conftest import CallCount, bss
+
+GAUSS_MODEL = str(Path(__file__).resolve().parent / "golden" / "gauss_model.json")
 
 
 @pytest.fixture
@@ -119,6 +123,15 @@ class TestGaussianCommands:
         assert data["predictor_kl"][0][0] == pytest.approx(0.4, abs=1e-10)
         assert data["predictor_mmse"][0][0] == pytest.approx(0.4, abs=1e-10)
 
+    @pytest.mark.parametrize("command,svds,choleskys", [("cca", 1, 2), ("gauss-regress", 2, 2)])
+    def test_factorizations_per_run(self, capsys, monkeypatch, command, svds, choleskys):
+        """One Jacobi SVD of the CCM and one Cholesky factor per covariance,
+        at load; gauss-regress adds only the SVD of its MMSE matrix."""
+        svd_count = CallCount(monkeypatch, linalg, "svd_oracle")
+        chol_count = CallCount(monkeypatch, linalg, "cholesky")
+        assert run(capsys, [command, "--input", GAUSS_MODEL, "--k", "2"])[0] == 0
+        assert (svd_count.n, chol_count.n) == (svds, choleskys)
+
 
 class TestSampleComplexityCommand:
     def test_report_shape(self, capsys, bss_tsv):
@@ -193,6 +206,24 @@ class TestErrorContract:
     def test_bad_monte_carlo_options(self, capsys, bss_tsv, flags, experiment):
         argv = ["sample-complexity", "--input", bss_tsv, "--experiment", experiment, *flags]
         self.assert_one_error(*run(capsys, argv), 2, "BAD_OPTIONS")
+
+    @pytest.mark.parametrize("experiment", ["sigma", "feature", "mi"])
+    def test_empty_delta_grid(self, capsys, bss_tsv, experiment):
+        argv = ["sample-complexity", "--input", bss_tsv, "--experiment", experiment, "--delta-grid", ","]
+        self.assert_one_error(*run(capsys, argv), 2, "BAD_OPTIONS")
+
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1"])
+    def test_bad_ace_tol(self, capsys, bss_tsv, tol):
+        argv = ["ace", "--input", bss_tsv, "--tol", tol]
+        self.assert_one_error(*run(capsys, argv), 2, "BAD_OPTIONS")
+
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-inf", "-1"])
+    def test_bad_synth_eps(self, capsys, eps):
+        """A usage error prints the usage text, then its one error line."""
+        code, out, err = run(capsys, ["synth", f"--eps={eps}"])
+        assert code == 1 and out == ""
+        lines = [line for line in err.splitlines() if line.startswith("error[")]
+        assert lines == [err.splitlines()[-1]] and lines[0].startswith("error[USAGE]: "), err
 
     @pytest.mark.parametrize(
         "command,content,flags,want",

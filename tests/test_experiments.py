@@ -11,7 +11,7 @@ import modalkit as mk
 from modalkit import DataError
 from modalkit import experiments as ex
 
-from conftest import assert_code, bss
+from conftest import CallCount, assert_code, bss, random_joint
 
 
 class TestBoundFormulas:
@@ -143,6 +143,29 @@ class TestFeatureQuality:
         rep = mk.mc_feature_quality(bss(0.3), [500, 2000], [0.1, 0.3], 1, 400, 5)
         for c in rep.cells:
             assert c.frequency <= c.effective_bound + 3 * c.stderr
+
+
+class TestTrialPath:
+    """Each trial takes one SVD of its quasi-CDM, built straight from the
+    drawn counts: no JointPmf and no Cdm per trial."""
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda j: mk.mc_sigma_tail(j, [50, 200], [0.1], 2, 7, 3),
+            lambda j: mk.mc_feature_quality(j, [50, 200], [0.1], 2, 7, 3, "mu2"),
+            lambda j: mk.mc_feature_quality(j, [50, 200], [0.1], 2, 7, 3, "mu2prime"),
+            lambda j: mk.mc_mi_error(j, [50, 200], [0.1], 2, 7, 3),
+        ],
+        ids=["sigma", "mu2", "mu2prime", "mi"],
+    )
+    def test_one_svd_per_trial(self, monkeypatch, run):
+        j = random_joint(np.random.default_rng(4), 3, 4)
+        svds = CallCount(monkeypatch, ex.linalg, "svd_oracle")
+        joints = CallCount(monkeypatch, mk.JointPmf, "__post_init__")
+        cdms = CallCount(monkeypatch, mk.modal.Cdm, "__post_init__")
+        run(j)
+        assert (svds.n, joints.n, cdms.n) == (1 + 7 * 2, 0, 1)
 
 
 class TestMiError:

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 import modalkit as mk
-from modalkit import DataError, NumericalError
+from modalkit import DataError, NumericalError, linalg
 
-from conftest import assert_code, bss
+from conftest import CallCount, assert_code, bss
 
 
 def scalar_model(rho):
@@ -53,6 +53,27 @@ class TestGaussianJoint:
         g = random_model(rng, 2, 3)
         again = mk.GaussianJoint.from_json_dict(g.to_json_dict())
         np.testing.assert_array_equal(again.cov_xy, g.cov_xy)
+
+
+class TestFactorOnce:
+    """A model factors its covariances and takes the CCM's SVD once, at
+    construction; the derived quantities read the stored results."""
+
+    def test_derived_quantities_take_no_factorization(self, monkeypatch):
+        g = random_model(np.random.default_rng(7), 4, 3)
+        svds = CallCount(monkeypatch, linalg, "svd_oracle")
+        chols = CallCount(monkeypatch, linalg, "cholesky")
+        mk.build_ccm(g)
+        mk.cca(g, 2)
+        mk.gaussian_mi(g, 1)
+        mk.gaussian_common_info(g)
+        mk.rank_k_regression_kl(g, 2)
+        assert (svds.n, chols.n) == (0, 0)
+
+    def test_stored_ccm_is_read_only(self):
+        g = random_model(np.random.default_rng(7), 4, 3)
+        with pytest.raises(ValueError):
+            mk.build_ccm(g)[0, 0] = 0.0
 
 
 class TestCcm:

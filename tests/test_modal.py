@@ -354,8 +354,8 @@ class TestRankDeficientProperties:
             assert np.max(np.abs(table.sum(axis=0) - py)) <= 1e-12
         assert np.all(md.sigmas[:rank] > 1e-12)
         assert np.all(md.sigmas[rank:] == 0.0)
-        # README sign rule: the Jacobi SVD signs the right singular vectors of
-        # the tall orientation, which is psi_y when |X| > |Y|.
-        psi = np.sqrt(px)[:, None] * md.f_features if nx <= ny else np.sqrt(py)[:, None] * md.g_features
+        # README sign rule: the first largest-magnitude entry of each
+        # sqrt(P_X) f_i column is positive, whatever the joint's shape.
+        psi = np.sqrt(px)[:, None] * md.f_features
         for col in psi.T:
             assert col[np.argmax(np.abs(col))] > 0
