@@ -10,12 +10,15 @@ agree within 1e-12 absolute on every number, since the zero-mode basis
 passes through a sqrt-marginal round trip.
 
 Regenerate (only when an output change is intended and recorded in
-CHANGES.md) with ``PYTHONPATH=src python tests/test_golden.py``.
+CHANGES.md) with ``PYTHONPATH=src python tests/test_golden.py [NAME ...]``:
+only the named cases (e.g. ``ace_rankdef``), or every case when no name is
+given.
 """
 
 import contextlib
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -96,7 +99,12 @@ def test_rank_deficient_output_within_1e12(name, argv):
 
 
 if __name__ == "__main__":
-    GOLDEN.mkdir(exist_ok=True)
     # The rank-deficient cases read synth_rankdef.json, so fixture cases go first.
-    for name, argv in [*_fixture_cases(), *_gaussian_cases(), *_rankdef_cases()]:
-        (GOLDEN / f"{name}.json").write_text(_run(argv), encoding="utf-8")
+    cases = dict([*_fixture_cases(), *_gaussian_cases(), *_rankdef_cases()])
+    names = sys.argv[1:] or list(cases)
+    unknown = [n for n in names if n not in cases]
+    if unknown:
+        sys.exit(f"unknown golden case(s): {', '.join(unknown)}")
+    GOLDEN.mkdir(exist_ok=True)
+    for name in names:
+        (GOLDEN / f"{name}.json").write_text(_run(cases[name]), encoding="utf-8")
