@@ -2,12 +2,15 @@
 modes.
 
 All three entry points are the same algorithm in different clothes.
-:func:`orthogonal_iteration` is the plain matrix form: orthogonalize a block,
-map it through A and A^T, repeat.  :func:`ace_discrete` phrases the identical
-iteration in probability space - center, whiten via a Cholesky factor of the
-feature covariance, take conditional expectations - which lets it run
-directly on a joint table (exact or empirical).  :func:`ace_gaussian` is the
-covariance-matrix analogue whose fixed point is CCA.
+:func:`orthogonal_iteration` is the plain matrix form: orthonormalize a block
+by QR, map it through A and A^T, repeat.  It is the reference, and QR keeps
+it accurate where Cholesky whitening would square the block's condition
+number.  :func:`ace_discrete` and :func:`ace_gaussian` run one loop,
+``_alternate``, phrased in probability space - center, whiten via a Cholesky
+factor of the feature covariance, take conditional expectations.  They
+differ only in what they hand it: transition tables and the joint table for
+a discrete pair (exact or empirical), gain matrices and Cov_XY for a
+Gaussian model, whose fixed point is CCA.
 
 The per-iteration monitor is E[f_bar^T g_hat] (trace form for matrices),
 which ascends to sum_{i<=k} sigma_i^2; iteration stops when its increments
@@ -111,7 +114,7 @@ def orthogonal_iteration(
 
 
 # ---------------------------------------------------------------------------
-# discrete ACE
+# the alternating loop, shared by discrete and Gaussian ACE
 
 
 def _whiten(values: np.ndarray, gram, jitter: float, redraw) -> np.ndarray:
@@ -139,6 +142,54 @@ def _whiten(values: np.ndarray, gram, jitter: float, redraw) -> np.ndarray:
     return linalg.solve_lower(low, values.T).T  # values @ low^{-T}
 
 
+def _alternate(cross, to_y, to_x, gram_x, gram_y, k: int, opts: AceOptions, wx=None, wy=None):
+    """The alternating loop that discrete and Gaussian ACE share.
+
+    ``cross`` is the |x| x |y| matrix of the bilinear form E[f(X) g(Y)]
+    (the joint table, or Cov_XY); ``to_y`` and ``to_x`` map a feature block
+    to its conditional expectation given the other variable; ``gram_x`` and
+    ``gram_y`` give a block's covariance.  ``wx`` and ``wy`` are the laws
+    the features are centered under, or None where features are linear maps
+    of zero-mean vectors and need no centering.  Returns ``(sigmas, f_hat,
+    g_hat, trace)`` with both blocks whitened and aligned to the core SVD.
+    """
+    center = lambda v, w: v if w is None else v - w @ v
+    rng = np.random.default_rng(opts.seed)
+    f_bar = rng.standard_normal((cross.shape[0], k))
+    monitor: list[float] = []
+    converged = False
+    whiten_dev = 0.0
+    center_dev = 0.0
+    g_hat = None
+
+    def redraw_centered():
+        return center(rng.standard_normal((cross.shape[0], k)), wx)
+
+    for iteration in range(opts.max_iters):
+        f_bar = center(f_bar, wx)
+        f_hat = _whiten(f_bar, gram_x, opts.jitter, redraw_centered if iteration == 0 else None)
+        whiten_dev = max(whiten_dev, float(np.max(np.abs(gram_x(f_hat) - np.eye(k)))))
+        g_bar = center(to_y(f_hat), wy)
+        if wy is not None:
+            center_dev = max(center_dev, float(np.max(np.abs(wy @ g_bar))))
+        g_hat = _whiten(g_bar, gram_y, opts.jitter, None)
+        f_bar = to_x(g_hat)
+        monitor.append(float(np.einsum("xk,xy,yk->", f_bar, cross, g_hat)))
+        if _stopped(monitor, opts.tol):
+            converged = True
+            break
+
+    f_hat = _whiten(center(f_bar, wx), gram_x, opts.jitter, None)
+    core = g_hat.T @ cross.T @ f_hat  # [j, i] = E[g_j(Y) f_i(X)]
+    sigmas, g_hat, f_hat = _align_modes(core, g_hat, f_hat)
+    trace = AceTrace(tuple(monitor), converged, len(monitor), whiten_dev, center_dev)
+    return sigmas, f_hat, g_hat, trace
+
+
+# ---------------------------------------------------------------------------
+# discrete ACE
+
+
 def ace_discrete(
     joint: JointPmf, k: int, opts: AceOptions = AceOptions()
 ) -> tuple[ModalDecomposition, AceTrace]:
@@ -159,45 +210,19 @@ def ace_discrete(
     pxy = joint.probs
     cond_x_given_y = pxy / py[None, :]  # column y: P(x | y)
     cond_y_given_x = pxy / px[:, None]  # row x: P(y | x)
-
-    rng = np.random.default_rng(opts.seed)
-    f_bar = rng.standard_normal((len(px), k))
-    monitor: list[float] = []
-    converged = False
-    whiten_dev = 0.0
-    center_dev = 0.0
-    f_hat = g_hat = None
-    gram_x = lambda v: (v * px[:, None]).T @ v
-    gram_y = lambda v: (v * py[:, None]).T @ v
-
-    def redraw_centered():
-        fresh = rng.standard_normal((len(px), k))
-        return fresh - px @ fresh
-
-    for iteration in range(opts.max_iters):
-        f_bar = f_bar - px @ f_bar
-        f_hat = _whiten(f_bar, gram_x, opts.jitter, redraw_centered if iteration == 0 else None)
-        whiten_dev = max(whiten_dev, float(np.max(np.abs(gram_x(f_hat) - np.eye(k)))))
-        g_bar = cond_x_given_y.T @ f_hat
-        g_bar = g_bar - py @ g_bar
-        center_dev = max(center_dev, float(np.max(np.abs(py @ g_bar))))
-        g_hat = _whiten(g_bar, gram_y, opts.jitter, None)
-        f_bar = cond_y_given_x @ g_hat
-        monitor.append(float(np.einsum("xk,xy,yk->", f_bar, pxy, g_hat)))
-        if _stopped(monitor, opts.tol):
-            converged = True
-            break
-
-    f_bar = f_bar - px @ f_bar
-    f_hat = _whiten(f_bar, gram_x, opts.jitter, None)
-    core = g_hat.T @ pxy.T @ f_hat  # [j, i] = E[g_j(Y) f_i(X)]
-    sigmas, g_hat, f_hat = _align_modes(core, g_hat, f_hat)
+    sigmas, f_hat, g_hat, trace = _alternate(
+        pxy,
+        lambda f: cond_x_given_y.T @ f,
+        lambda g: cond_y_given_x @ g,
+        lambda v: (v * px[:, None]).T @ v,
+        lambda v: (v * py[:, None]).T @ v,
+        k, opts, px, py,
+    )
     # Zero modes carry no signal through the conditional expectations, so
     # their columns are whatever the (jittered) whitening left behind;
     # finish_modes replaces them exactly as on the oracle path.
     psi_x, psi_y = np.sqrt(px)[:, None] * f_hat, np.sqrt(py)[:, None] * g_hat
     md = finish_modes(sigmas, psi_x, psi_y, joint.x_marginal, joint.y_marginal)
-    trace = AceTrace(tuple(monitor), converged, len(monitor), whiten_dev, center_dev)
     return md, trace
 
 
@@ -219,29 +244,13 @@ def ace_gaussian(gauss, k: int, opts: AceOptions = AceOptions()):
         raise DataError("SHAPE_MISMATCH", "ace_gaussian expects a GaussianJoint")
     check_k(k, 1, min(gauss.dim_x, gauss.dim_y))
 
-    cov_yx = gauss.cov_xy.T
-    low_x, low_y = gauss._low_x, gauss._low_y
-
-    gram_x = lambda b: b.T @ (low_x @ (low_x.T @ b))
-    gram_y = lambda b: b.T @ (low_y @ (low_y.T @ b))
-
-    rng = np.random.default_rng(opts.seed)
-    f_bar = rng.standard_normal((gauss.dim_x, k))
-    monitor: list[float] = []
-    converged = False
-    f_hat = g_hat = None
-    for iteration in range(opts.max_iters):
-        redraw = (lambda: rng.standard_normal(f_bar.shape)) if iteration == 0 else None
-        f_hat = _whiten(f_bar, gram_x, opts.jitter, redraw)
-        g_bar = linalg.solve_factored(low_y, cov_yx @ f_hat)
-        g_hat = _whiten(g_bar, gram_y, opts.jitter, None)
-        f_bar = linalg.solve_factored(low_x, cov_yx.T @ g_hat)
-        monitor.append(float(np.trace(g_hat.T @ cov_yx @ f_bar)))
-        if _stopped(monitor, opts.tol):
-            converged = True
-            break
-
-    f_hat = _whiten(f_bar, gram_x, opts.jitter, None)
-    sigmas, g_hat, f_hat = _align_modes(g_hat.T @ cov_yx @ f_hat, g_hat, f_hat)
-    trace = AceTrace(tuple(monitor), converged, len(monitor))
+    cov_xy, low_x, low_y = gauss.cov_xy, gauss._low_x, gauss._low_y
+    sigmas, f_hat, g_hat, trace = _alternate(
+        cov_xy,
+        lambda f: linalg.solve_factored(low_y, cov_xy.T @ f),
+        lambda g: linalg.solve_factored(low_x, cov_xy @ g),
+        lambda b: b.T @ (low_x @ (low_x.T @ b)),
+        lambda b: b.T @ (low_y @ (low_y.T @ b)),
+        k, opts,
+    )
     return CcaDecomposition(f_hat, g_hat, sigmas), trace

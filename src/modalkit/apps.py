@@ -81,7 +81,7 @@ def recommend(
     ny = len(joint.y_alphabet)
     if not 1 <= l <= ny:
         raise DataError("L_TOO_LARGE", f"list size {l} not in [1, {ny}]")
-    md = decompose(joint, k, method="oracle")
+    md = decompose(joint, k)
     xi = joint.x_alphabet.index(user)
     score = (md.f_features[xi] * md.sigmas) @ md.g_features.T
     if variant == "match":
@@ -192,7 +192,7 @@ def softmax_divergence_gap(joint: JointPmf, k: int) -> float:
     check_k(k, 0, kmax)
     if kmax == 0:
         return 0.0
-    md = decompose(joint, kmax, method="oracle")
+    md = decompose(joint, kmax)
     if k > 0:
         f = md.f_features[:, :k]
         scale = max(1.0, float(np.max(np.abs(f))))

@@ -27,42 +27,51 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError("USAGE", message)
 
 
+# Each flag is defined once; a subcommand declares only the flags its handler reads.
+_FLAGS = {
+    "--input": dict(required=True, help="input path"),
+    "--format": dict(choices=["tsv", "json"], default="tsv"),
+    "--k": dict(type=int, default=1),
+    "--tol": dict(type=float, default=1e-10),
+    "--max-iters": dict(type=int, default=10_000),
+    "--seed": dict(type=int, default=0),
+    "--output": dict(default=None, help="output path (default: stdout)"),
+}
+_JOINT = ("--input", "--format", "--k")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="modalkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common_flags(p, needs_input=True):
-        if needs_input:
-            p.add_argument("--input", required=True, help="input path")
-        p.add_argument("--format", choices=["tsv", "json"], default="tsv")
-        p.add_argument("--k", type=int, default=1)
-        p.add_argument("--tol", type=float, default=1e-10)
-        p.add_argument("--max-iters", type=int, default=10_000)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--output", default=None, help="output path (default: stdout)")
+    def command(name, help, *flags):
+        p = sub.add_parser(name, help=help)
+        for flag in (*flags, "--output"):
+            p.add_argument(flag, **_FLAGS[flag])
+        return p
 
-    common_flags(sub.add_parser("decompose", help="modal decomposition via the SVD oracle"))
-    common_flags(sub.add_parser("ace", help="modal decomposition via alternating conditional expectations"))
+    command("decompose", "modal decomposition via the SVD oracle", *_JOINT)
+    command(
+        "ace", "modal decomposition via alternating conditional expectations",
+        *_JOINT, "--tol", "--max-iters", "--seed",
+    )
 
-    rec = sub.add_parser("recommend", help="attribute-matching recommendations")
-    common_flags(rec)
+    rec = command("recommend", "attribute-matching recommendations", *_JOINT)
     rec.add_argument("--user", required=True)
     rec.add_argument("--top", type=int, default=1)
     rec.add_argument("--variant", choices=["match", "y-weighted"], default="match")
 
-    common_flags(sub.add_parser("common-info", help="common information value and configuration"))
-    common_flags(sub.add_parser("cca", help="canonical correlation analysis of a Gaussian model"))
-    common_flags(sub.add_parser("gauss-regress", help="rank-k Gaussian regression (KL and MMSE)"))
+    command("common-info", "common information value and configuration", "--input", "--format")
+    command("cca", "canonical correlation analysis of a Gaussian model", "--input", "--k")
+    command("gauss-regress", "rank-k Gaussian regression (KL and MMSE)", "--input", "--k")
 
-    sc = sub.add_parser("sample-complexity", help="Monte Carlo tail-bound validation")
-    common_flags(sc)
+    sc = command("sample-complexity", "Monte Carlo tail-bound validation", *_JOINT, "--seed")
     sc.add_argument("--experiment", choices=["sigma", "feature", "mi"], default="sigma")
     sc.add_argument("--n-grid", default="500,1000,2000", help="comma-separated sample sizes")
     sc.add_argument("--delta-grid", default="0.1,0.2,0.4", help="comma-separated deltas")
     sc.add_argument("--trials", type=int, default=2000)
 
-    synth = sub.add_parser("synth", help="synthesize a weak-dependence joint")
-    common_flags(synth, needs_input=False)
+    synth = command("synth", "synthesize a weak-dependence joint", "--k", "--seed")
     synth.add_argument("--x-size", type=int, default=4)
     synth.add_argument("--y-size", type=int, default=5)
     synth.add_argument("--eps", type=float, default=0.1, help="scale of the leading mode")
@@ -97,7 +106,7 @@ def _grid(text: str, cast):
 
 def _cmd_decompose(args) -> dict:
     joint = _load_joint(args)
-    md = modal.decompose(joint, args.k, method="oracle")
+    md = modal.decompose(joint, args.k)
     return md.to_json_dict()
 
 
@@ -123,7 +132,7 @@ def _cmd_recommend(args) -> dict:
 def _cmd_common_info(args) -> dict:
     joint = _load_joint(args)
     kmax = min(len(joint.x_alphabet), len(joint.y_alphabet)) - 1
-    config = common_info.build_common_config(modal.decompose(joint, kmax, method="oracle"))
+    config = common_info.build_common_config(modal.decompose(joint, kmax))
     return {"value": config.nuclear, "config": config.to_json_dict()}
 
 

@@ -69,10 +69,6 @@ class CommonInfoConfig:
         """sum_w P_W(w) P_{X|W}(.|w) P_{Y|W}(.|w) as an |X| x |Y| table."""
         return np.einsum("w,wx,wy->xy", self.p_w, self.cond_x, self.cond_y)
 
-    def mixture_joint(self) -> JointPmf:
-        table = self.mixture
-        return JointPmf(self.px.alphabet, self.py.alphabet, table / table.sum())
-
     def information_w_xy(self) -> float:
         """Exact I(W; X, Y) of the configuration in nats."""
         joint_xy = self.mixture

@@ -46,10 +46,6 @@ class InformationVector:
             raise DataError("SHAPE_MISMATCH", "phi is not orthogonal to sqrt(reference)")
 
     @property
-    def in_neighborhood(self) -> bool:
-        return float(self.phi @ self.phi) <= 1.0 + 1e-9
-
-    @property
     def norm(self) -> float:
         return float(np.sqrt(self.phi @ self.phi))
 

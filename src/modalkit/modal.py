@@ -130,9 +130,6 @@ class TruncatedJoint:
     def __post_init__(self):
         object.__setattr__(self, "probs", _freeze(self.probs))
 
-    def as_joint(self) -> JointPmf:
-        return JointPmf(self.px.alphabet, self.py.alphabet, self.probs)
-
 
 # ---------------------------------------------------------------------------
 # construction of the matrices
@@ -279,38 +276,24 @@ def finish_modes(
     return ModalDecomposition(sig, psi_x / root_x[:, None], psi_y / root_y[:, None], px, py)
 
 
-def decompose(
-    joint: JointPmf,
-    k: int,
-    method: Literal["oracle", "ace"] = "oracle",
-    seed: int = 0,
-    opts=None,
-) -> ModalDecomposition:
-    """Top-k modes of the joint's modal expansion.
+def decompose(joint: JointPmf, k: int) -> ModalDecomposition:
+    """Top-k modes of the joint's modal expansion, from the Jacobi SVD of
+    its CDM.
 
-    ``method="oracle"`` takes the Jacobi SVD of the CDM; ``method="ace"``
-    runs alternating conditional expectations (seeded, see
-    :func:`modalkit.ace.ace_discrete`) and must agree with the oracle.
-    Requires strictly positive marginals and 1 <= k <= K - 1.
+    Requires strictly positive marginals and 1 <= k <= K - 1.  This is the
+    oracle route; :func:`modalkit.ace.ace_discrete` computes the same modes
+    iteratively and must agree with it.
     """
     kmax = min(len(joint.x_alphabet), len(joint.y_alphabet)) - 1
     check_k(k, 1, kmax)
     if not joint.strictly_positive_marginals:
         raise DataError("ZERO_MARGINAL", "modal decomposition needs strictly positive marginals")
-    if method == "oracle":
-        cdm = build_cdm(joint)
-        svd = linalg.svd_oracle(cdm.btilde)
-        return finish_modes(
-            svd.sigmas[:k], svd.v[:, :k], svd.u[:, :k],
-            Pmf(cdm.x_alphabet, cdm.px), Pmf(cdm.y_alphabet, cdm.py),
-        )
-    if method == "ace":
-        from . import ace  # local import; ace builds ModalDecomposition objects
-
-        options = opts if opts is not None else ace.AceOptions(seed=seed)
-        md, _ = ace.ace_discrete(joint, k, options)
-        return md
-    raise DataError("BAD_OPTIONS", f"unknown method {method!r}")
+    cdm = build_cdm(joint)
+    svd = linalg.svd_oracle(cdm.btilde)
+    return finish_modes(
+        svd.sigmas[:k], svd.v[:, :k], svd.u[:, :k],
+        Pmf(cdm.x_alphabet, cdm.px), Pmf(cdm.y_alphabet, cdm.py),
+    )
 
 
 def maximal_correlation(joint: JointPmf, k: int) -> float:

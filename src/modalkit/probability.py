@@ -153,8 +153,6 @@ def joint_from_table(rows: Sequence[tuple[str, str, float]]) -> JointPmf:
     """
     if not rows:
         raise DataError("EMPTY_SAMPLES", "no rows supplied")
-    xs: list[str] = []
-    ys: list[str] = []
     seen: set[tuple[str, str]] = set()
     for x, y, p in rows:
         if not p >= 0:
@@ -162,11 +160,8 @@ def joint_from_table(rows: Sequence[tuple[str, str, float]]) -> JointPmf:
         if (x, y) in seen:
             raise DataError("DUPLICATE_CELL", f"cell ({x!r}, {y!r}) listed twice")
         seen.add((x, y))
-        if x not in xs:
-            xs.append(x)
-        if y not in ys:
-            ys.append(y)
-    ax, ay = Alphabet(tuple(xs)), Alphabet(tuple(ys))
+    ax = Alphabet(tuple(dict.fromkeys(x for x, _, _ in rows)))
+    ay = Alphabet(tuple(dict.fromkeys(y for _, y, _ in rows)))
     table = np.zeros((len(ax), len(ay)))
     for x, y, p in rows:
         table[ax.index(x), ay.index(y)] = p
@@ -191,17 +186,9 @@ def joint_from_samples(
     if len(samples) == 0:
         raise DataError("EMPTY_SAMPLES", "cannot estimate a distribution from zero samples")
     if x_alphabet is None:
-        seen_x: list[str] = []
-        for x, _ in samples.pairs:
-            if x not in seen_x:
-                seen_x.append(x)
-        x_alphabet = Alphabet(tuple(seen_x))
+        x_alphabet = Alphabet(tuple(dict.fromkeys(x for x, _ in samples.pairs)))
     if y_alphabet is None:
-        seen_y: list[str] = []
-        for _, y in samples.pairs:
-            if y not in seen_y:
-                seen_y.append(y)
-        y_alphabet = Alphabet(tuple(seen_y))
+        y_alphabet = Alphabet(tuple(dict.fromkeys(y for _, y in samples.pairs)))
     counts = np.zeros((len(x_alphabet), len(y_alphabet)))
     for x, y in samples.pairs:
         counts[x_alphabet.index(x), y_alphabet.index(y)] += 1.0

@@ -52,7 +52,7 @@ def test_acceptance_01_modal_expansion_exactness(corpus):
     start = time.perf_counter()
     for j in corpus:
         kmax = min(len(j.x_alphabet), len(j.y_alphabet)) - 1
-        md = mk.decompose(j, kmax, method="oracle")
+        md = mk.decompose(j, kmax)
         full = mk.reconstruct_truncated(md, kmax)
         assert np.max(np.abs(full.probs - j.probs)) <= 1e-10
         for k in range(kmax + 1):
@@ -88,7 +88,7 @@ def test_acceptance_03_ace_vs_oracle():
         g = mk.random_orthonormal_features(py, 2, rng)
         j = mk.synth_weak_joint(px, py, list(f.T), list(g.T), [0.21, 0.09])
         md_ace, trace = mk.ace_discrete(j, 2, opts)
-        md_oracle = mk.decompose(j, 2, method="oracle")
+        md_oracle = mk.decompose(j, 2)
         assert np.max(np.abs(md_ace.sigmas - md_oracle.sigmas)) <= 1e-8
         wf = np.sqrt(px.probs)[:, None]
         wg = np.sqrt(py.probs)[:, None]

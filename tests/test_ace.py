@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import modalkit as mk
 from modalkit import AceOptions, DataError
@@ -196,6 +197,64 @@ class TestAceGaussian:
         )
         _, tr = mk.ace_gaussian(g, 2, AceOptions(seed=0))
         assert np.all(np.diff(tr.monitor)[1:] >= -1e-12)
+
+
+def _planted_gaussian(rng, dx: int, dy: int, k: int):
+    """Gaussian model whose canonical correlations drop by at least 2x after
+    the k-th (CCM = U diag(rho) V^T with the covariance factors planted)."""
+    m = min(dx, dy)
+    top = np.sort(rng.uniform(0.3, 0.95, k))[::-1]
+    rho = np.concatenate([top, np.sort(rng.uniform(0.0, 0.5, m - k))[::-1] * top[-1]])
+    covs = []
+    for d in (dx, dy):
+        a = rng.standard_normal((d, d))
+        covs.append(a @ a.T + d * np.eye(d))
+    lx, ly = np.linalg.cholesky(covs[0]), np.linalg.cholesky(covs[1])
+    u, _ = np.linalg.qr(rng.standard_normal((dy, m)))
+    v, _ = np.linalg.qr(rng.standard_normal((dx, m)))
+    return mk.GaussianJoint(covs[0], covs[1], lx @ (v * rho) @ u.T @ ly.T)
+
+
+class TestAceAgreesWithOracles:
+    """Both ACE forms against their SVD oracles on generated inputs whose
+    spectrum has a sigma_k / sigma_{k+1} gap of at least 2."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.integers(3, 7), st.integers(3, 7), st.integers(0, 2**32 - 1), st.data())
+    def test_discrete_matches_decompose(self, nx, ny, seed, data):
+        rank = data.draw(st.integers(1, min(nx, ny) - 1), label="rank")
+        k = data.draw(st.integers(1, rank), label="k")
+        j = planted_joint(np.random.default_rng(seed), nx, ny, rank)
+        oracle = mk.decompose(j, min(nx, ny) - 1)
+        assume(k == oracle.order or oracle.sigmas[k - 1] >= 2 * oracle.sigmas[k])
+        md, tr = mk.ace_discrete(j, k, AceOptions(tol=1e-14, seed=seed % 1000))
+        np.testing.assert_allclose(md.sigmas, oracle.sigmas[:k], atol=1e-8)
+        for feats, ref, p in (
+            (md.f_features, oracle.f_features, j.x_marginal.probs),
+            (md.g_features, oracle.g_features, j.y_marginal.probs),
+        ):
+            w = np.sqrt(p)[:, None]
+            np.testing.assert_allclose(projector(w * feats), projector(w * ref[:, :k]), atol=1e-6)
+        assert tr.whiten_dev <= 1e-9
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1), st.data())
+    def test_gaussian_matches_cca(self, dx, dy, seed, data):
+        k = data.draw(st.integers(1, min(dx, dy)), label="k")
+        g = _planted_gaussian(np.random.default_rng(seed), dx, dy, k)
+        dec, tr = mk.ace_gaussian(g, k, AceOptions(tol=1e-14, seed=seed % 1000))
+        oracle = mk.cca(g, k)
+        np.testing.assert_allclose(dec.sigmas, oracle.sigmas, atol=1e-8)
+        np.testing.assert_allclose(projector(dec.f), projector(oracle.f), atol=1e-6)
+        np.testing.assert_allclose(projector(dec.g), projector(oracle.g), atol=1e-6)
+        assert tr.whiten_dev <= 1e-9
+
+    def test_gaussian_reports_whitening_deviation(self, rng):
+        """The Gaussian loop measures its whitening like the discrete one: a
+        round-off-level deviation, not a hard-wired zero."""
+        g = _planted_gaussian(rng, 10, 10, 3)
+        _, tr = mk.ace_gaussian(g, 3)
+        assert 0.0 < tr.whiten_dev <= 1e-12
 
 
 class TestAceOptions:

@@ -225,6 +225,35 @@ class TestErrorContract:
         lines = [line for line in err.splitlines() if line.startswith("error[")]
         assert lines == [err.splitlines()[-1]] and lines[0].startswith("error[USAGE]: "), err
 
+    # Flags a subcommand used to accept and then ignore.
+    REMOVED_FLAGS = [
+        *[(c, f) for c in ("decompose", "recommend") for f in ("--tol", "--max-iters", "--seed")],
+        *[("common-info", f) for f in ("--k", "--tol", "--max-iters", "--seed")],
+        *[(c, f) for c in ("cca", "gauss-regress") for f in ("--format", "--tol", "--max-iters", "--seed")],
+        *[("sample-complexity", f) for f in ("--tol", "--max-iters")],
+        *[("synth", f) for f in ("--format", "--tol", "--max-iters")],
+    ]
+    FLAG_VALUES = {"--format": "tsv", "--k": "1", "--tol": "1e-8", "--max-iters": "5", "--seed": "3"}
+
+    @pytest.mark.parametrize("command,flag", REMOVED_FLAGS, ids=[f"{c}{f}" for c, f in REMOVED_FLAGS])
+    def test_unread_flag_is_usage_error(self, capsys, bss_tsv, command, flag):
+        """A subcommand accepts only the flags its handler reads."""
+        base = {
+            "decompose": ["--input", bss_tsv],
+            "recommend": ["--input", bss_tsv, "--user", "0"],
+            "common-info": ["--input", bss_tsv],
+            "cca": ["--input", GAUSS_MODEL],
+            "gauss-regress": ["--input", GAUSS_MODEL],
+            "sample-complexity": ["--input", bss_tsv, "--trials", "5"],
+            "synth": [],
+        }[command]
+        assert run(capsys, [command, *base])[0] == 0
+        code, out, err = run(capsys, [command, *base, flag, self.FLAG_VALUES[flag]])
+        assert code == 1 and out == ""
+        lines = [line for line in err.splitlines() if line.startswith("error[")]
+        assert lines == [err.splitlines()[-1]] and lines[0].startswith("error[USAGE]: "), err
+        assert flag in lines[0]
+
     @pytest.mark.parametrize(
         "command,content,flags,want",
         [

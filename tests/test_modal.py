@@ -141,8 +141,8 @@ class TestDecompose:
 
     def test_oracle_and_ace_agree(self, rng):
         j = random_joint(rng, 5, 7)
-        md_o = mk.decompose(j, 4, method="oracle")
-        md_a = mk.decompose(j, 4, method="ace", opts=mk.AceOptions(tol=1e-14, seed=1))
+        md_o = mk.decompose(j, 4)
+        md_a, _ = mk.ace_discrete(j, 4, mk.AceOptions(tol=1e-14, seed=1))
         np.testing.assert_allclose(md_o.sigmas, md_a.sigmas, atol=1e-8)
 
     def test_cross_correlation_structure(self, rng):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import modalkit as mk
 from modalkit import DataError
@@ -105,6 +106,42 @@ class TestJointFromSamples:
             if np.max(np.abs(emp.probs - j.probs)) <= 0.01:
                 hits += 1
         assert hits >= 99
+
+
+def _first_appearance(symbols) -> tuple:
+    order = []
+    for s in symbols:
+        if s not in order:
+            order.append(s)
+    return tuple(order)
+
+
+def _pairs(unique: bool):
+    symbols = st.tuples(st.sampled_from("abcde"), st.sampled_from("pqrst"))
+    return st.lists(symbols, min_size=1, max_size=25, unique=unique)
+
+
+class TestAlphabetOrder:
+    """Inferred alphabets list symbols in first-appearance order, however
+    the symbols repeat and interleave."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_pairs(unique=True))
+    def test_joint_from_table(self, cells):
+        j = mk.joint_from_table([(x, y, 1.0 / len(cells)) for x, y in cells])
+        assert j.x_alphabet.symbols == _first_appearance(x for x, _ in cells)
+        assert j.y_alphabet.symbols == _first_appearance(y for _, y in cells)
+        for x, y in cells:
+            assert j.prob(x, y) == pytest.approx(1.0 / len(cells), abs=1e-15)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_pairs(unique=False))
+    def test_joint_from_samples(self, pairs):
+        j = mk.joint_from_samples(mk.SamplePairs(tuple(pairs)))
+        assert j.x_alphabet.symbols == _first_appearance(x for x, _ in pairs)
+        assert j.y_alphabet.symbols == _first_appearance(y for _, y in pairs)
+        for x, y in set(pairs):
+            assert j.prob(x, y) == pairs.count((x, y)) / len(pairs)
 
 
 class TestMarginalsAndConditionals:
