@@ -196,11 +196,11 @@ def softmax_divergence_gap(joint: JointPmf, k: int) -> float:
     if k > 0:
         f = md.f_features[:, :k]
         scale = max(1.0, float(np.max(np.abs(f))))
-        for i in range(f.shape[0]):
-            for j in range(i + 1, f.shape[0]):
-                if np.max(np.abs(f[i] - f[j])) <= 1e-9 * scale:
-                    raise DataError(
-                        "NOT_INJECTIVE",
-                        f"feature map sends symbols {i} and {j} to the same point",
-                    )
+        for i in range(f.shape[0] - 1):  # first clash in row-major (i, j) order
+            same = np.flatnonzero(np.max(np.abs(f[i + 1 :] - f[i]), axis=1) <= 1e-9 * scale)
+            if same.size:
+                raise DataError(
+                    "NOT_INJECTIVE",
+                    f"feature map sends symbols {i} and {i + 1 + same[0]} to the same point",
+                )
     return 0.5 * float(np.sum(md.sigmas[k:] ** 2))

@@ -221,22 +221,19 @@ def build_quasi_cdm(empirical: JointPmf, true_marginals: tuple[Pmf, Pmf]) -> Cdm
 _ZERO_SIGMA_TOL = 1e-12
 
 
-def _zero_mode_directions(
-    taken: np.ndarray, root: np.ndarray, preferred: np.ndarray, need: int
-) -> np.ndarray:
+def _zero_mode_directions(taken: np.ndarray, root: np.ndarray, need: int) -> np.ndarray:
     """Orthonormal directions orthogonal to both `taken` columns and `root`.
 
     Singular vectors at sigma = 0 are an arbitrary basis of the null space,
     which contains the trivial sqrt-marginal direction; feature vectors must
-    avoid it.  Candidates are the caller's own zero-mode columns first (kept
-    when already valid), then canonical basis vectors.  Each direction
-    follows the sign rule on its own.
+    avoid it.  Candidates are the canonical basis vectors in order, so the
+    basis depends only on the nonzero modes and the marginal, never on the
+    solver.  Each direction follows the sign rule on its own.
     """
     n = root.shape[0]
     basis = np.column_stack([taken, root]) if taken.size else root[:, None]
     out = []
-    candidates = list(preferred.T) + [np.eye(n)[:, i] for i in range(n)]
-    for cand in candidates:
+    for cand in np.eye(n):
         v = cand - basis @ (basis.T @ cand)
         v = v - basis @ (basis.T @ v)
         norm = float(np.sqrt(v @ v))
@@ -271,14 +268,13 @@ def finish_modes(
     signs = linalg.lead_signs(psi_x)
     psi_x, psi_y = psi_x * signs, psi_y * signs
     if rank < k:
-        psi_x[:, rank:] = _zero_mode_directions(psi_x[:, :rank], root_x, psi_x[:, rank:], k - rank)
-        psi_y[:, rank:] = _zero_mode_directions(psi_y[:, :rank], root_y, psi_y[:, rank:], k - rank)
+        psi_x[:, rank:] = _zero_mode_directions(psi_x[:, :rank], root_x, k - rank)
+        psi_y[:, rank:] = _zero_mode_directions(psi_y[:, :rank], root_y, k - rank)
     return ModalDecomposition(sig, psi_x / root_x[:, None], psi_y / root_y[:, None], px, py)
 
 
 def decompose(joint: JointPmf, k: int) -> ModalDecomposition:
-    """Top-k modes of the joint's modal expansion, from the Jacobi SVD of
-    its CDM.
+    """Top-k modes of the joint's modal expansion, from the SVD of its CDM.
 
     Requires strictly positive marginals and 1 <= k <= K - 1.  This is the
     oracle route; :func:`modalkit.ace.ace_discrete` computes the same modes

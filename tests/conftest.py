@@ -1,7 +1,8 @@
 """Shared builders for the test suite.
 
-numpy.linalg / exhaustive enumeration serve as independent oracles
-throughout; the package's own Jacobi SVD is the implementation under test.
+Closed forms, exhaustive enumeration and the one-sided Jacobi SVD in
+``jacobi.py`` serve as independent oracles; the package's own SVD (LAPACK,
+through ``numpy.linalg``) is the implementation under test.
 """
 
 import numpy as np

@@ -199,15 +199,18 @@ class TestSoftmaxDivergenceGap:
         assert mk.softmax_divergence_gap(j, 1) == pytest.approx(2e-4, abs=1e-10)
 
     def test_non_injective_rejected(self, rng):
-        # duplicate x-rows make every feature constant across them
+        # duplicate x-rows make every feature constant across them; of the
+        # two duplicated pairs (0, 3) and (1, 2), row-major order names (0, 3)
         py = rng.dirichlet([4, 4, 4])
         row = rng.dirichlet([4, 4, 4])
-        table = np.vstack([0.3 * row, 0.3 * row, 0.4 * py])
+        other = rng.dirichlet([4, 4, 4])
+        table = np.vstack([0.2 * row, 0.15 * other, 0.15 * other, 0.2 * row, 0.3 * py])
         table /= table.sum()
-        j = mk.JointPmf(mk.alphabet("abc"), mk.alphabet("def"), table)
+        j = mk.JointPmf(mk.alphabet("abcgh"), mk.alphabet("def"), table)
         with pytest.raises(DataError) as err:
             mk.softmax_divergence_gap(j, 1)
         assert_code(err, "NOT_INJECTIVE")
+        assert "symbols 0 and 3 " in str(err.value)
 
     def test_gap_matches_true_model_divergence(self, rng):
         """The predicted residual matches the fitted model's averaged KL

@@ -125,7 +125,7 @@ class TestGaussianCommands:
 
     @pytest.mark.parametrize("command,svds,choleskys", [("cca", 1, 2), ("gauss-regress", 2, 2)])
     def test_factorizations_per_run(self, capsys, monkeypatch, command, svds, choleskys):
-        """One Jacobi SVD of the CCM and one Cholesky factor per covariance,
+        """One SVD of the CCM and one Cholesky factor per covariance,
         at load; gauss-regress adds only the SVD of its MMSE matrix."""
         svd_count = CallCount(monkeypatch, linalg, "svd_oracle")
         chol_count = CallCount(monkeypatch, linalg, "cholesky")
@@ -206,6 +206,14 @@ class TestErrorContract:
     def test_bad_monte_carlo_options(self, capsys, bss_tsv, flags, experiment):
         argv = ["sample-complexity", "--input", bss_tsv, "--experiment", experiment, *flags]
         self.assert_one_error(*run(capsys, argv), 2, "BAD_OPTIONS")
+
+    def test_indefinite_covariance(self, capsys, tmp_path):
+        path = tmp_path / "indefinite.json"
+        model = {"dim_x": 2, "dim_y": 1, "cov_x": [[1.0, 2.0], [2.0, 1.0]], "cov_y": [[1.0]],
+                 "cov_xy": [[0.1], [0.1]]}
+        path.write_text(json.dumps(model), encoding="utf-8")
+        argv = ["cca", "--input", str(path), "--k", "1"]
+        self.assert_one_error(*run(capsys, argv), 3, "NOT_POSITIVE_DEFINITE")
 
     @pytest.mark.parametrize("experiment", ["sigma", "feature", "mi"])
     def test_empty_delta_grid(self, capsys, bss_tsv, experiment):

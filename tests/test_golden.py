@@ -3,7 +3,7 @@ its stdout with the file under ``tests/golden/``.
 
 Fixture cases must match byte for byte, and so must the Gaussian cases
 (``cca`` and ``gauss-regress`` on ``gauss_model.json``, a fixed 4 x 3 model
-whose CCM is wide, so the Jacobi SVD takes its transposed branch).  The
+whose CCM is wide, so the SVD takes its transposed branch).  The
 rank-deficient cases (a joint of planted rank 2 decomposed at order 4, so
 two zero modes are completed on both the oracle and the ACE path) must
 agree within 1e-12 absolute on every number, since the zero-mode basis

@@ -359,3 +359,41 @@ class TestRankDeficientProperties:
         psi = np.sqrt(px)[:, None] * md.f_features
         for col in psi.T:
             assert col[np.argmax(np.abs(col))] > 0
+
+
+class TestZeroModeBasis:
+    """Zero-mode features come from canonical vectors only, so they depend
+    on the nonzero modes and the marginals, never on the solver."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.integers(3, 6), st.integers(3, 6), st.integers(0, 2**32 - 1), st.data())
+    def test_decompose_and_ace_share_zero_modes(self, nx, ny, seed, data):
+        rank = data.draw(st.integers(1, min(nx, ny) - 2), label="rank")
+        j = planted_joint(np.random.default_rng(seed), nx, ny, rank)
+        k = min(nx, ny) - 1
+        oracle = mk.decompose(j, k)
+        md, _ = mk.ace_discrete(j, k, mk.AceOptions(tol=1e-14, seed=seed % 1000))
+        assert np.all(oracle.sigmas[rank:] == 0.0) and np.all(md.sigmas[rank:] == 0.0)
+        for feats, ref, p in (
+            (md.f_features, oracle.f_features, j.x_marginal.probs),
+            (md.g_features, oracle.g_features, j.y_marginal.probs),
+        ):
+            w = np.sqrt(p)[:, None]
+            np.testing.assert_allclose(
+                projector(w * feats[:, rank:]), projector(w * ref[:, rank:]), atol=1e-6
+            )
+
+    def test_solver_zero_columns_are_ignored(self, rng):
+        """finish_modes gives the same features whatever orthonormal basis
+        the solver hands it for the zero modes."""
+        j = planted_joint(rng, 6, 5, 2)
+        svd = linalg.svd_oracle(mk.build_cdm(j).btilde)
+        px, py = j.x_marginal, j.y_marginal
+        want = mk.modal.finish_modes(svd.sigmas[:4], svd.v[:, :4], svd.u[:, :4], px, py)
+        psi_x, psi_y = svd.v[:, :4].copy(), svd.u[:, :4].copy()
+        for psi in (psi_x, psi_y):  # rotate the solver's zero columns within their span
+            q, _ = np.linalg.qr(rng.standard_normal((psi.shape[1] - 2, psi.shape[1] - 2)))
+            psi[:, 2:] = psi[:, 2:] @ q
+        got = mk.modal.finish_modes(svd.sigmas[:4], psi_x, psi_y, px, py)
+        np.testing.assert_allclose(got.f_features, want.f_features, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(got.g_features, want.g_features, rtol=0, atol=1e-14)
