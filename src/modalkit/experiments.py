@@ -1,15 +1,19 @@
 """Monte Carlo validation of the sample-complexity tail bounds and of the
 local characterization of Chernoff exponents.
 
-Each experiment draws `trials` empirical distributions per grid cell,
+Each experiment draws `trials` empirical distributions per sample size,
 evaluates an error statistic of the estimated spectrum or features, and
 reports the exceedance frequency next to the theoretical bound.  Bound
 formulas live in standalone functions so they can be unit-tested against
 hand evaluations, separately from the samplers.
 
-Trial seeds derive from (seed, cell index, trial index) through a
+Trial seeds derive from (seed, sample-size index, trial index) through a
 splitmix64-style mix, so trials are independent, reproducible, and could be
-evaluated in any order or in parallel.
+evaluated in any order or in parallel.  Each trial draws from its own
+stream, and the trials of one sample size are then evaluated together: their
+quasi-CDMs are stacked, decomposed by one stacked SVD, and a statistic maps
+that stack to one value per trial.  The stack is built in chunks of at most
+``MC_CHUNK_CELLS`` cells, so memory does not grow with the trial count.
 
 All statistics are built on the quasi-CDM: the empirical joint paired with
 the *true* marginals,
@@ -32,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -40,6 +44,8 @@ from . import linalg
 from .errors import DataError, check_k
 from .modal import build_cdm, cdm_matrix
 from .probability import JointPmf, Pmf
+
+MC_CHUNK_CELLS = 1 << 20  # table cells per stacked chunk of trials
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +65,24 @@ def derive_seed(seed: int, *indices: int) -> int:
     for idx in indices:
         acc = _splitmix64(acc ^ ((idx + 1) & 0xFFFFFFFFFFFFFFFF))
     return acc
+
+
+def _trial_counts(seed: int, ni: int, n: int, probs: np.ndarray, trials: int) -> Iterator[np.ndarray]:
+    """Multinomial counts of ``n`` draws from ``probs`` for every trial of the
+    ``ni``-th sample size, yielded in trial order as ``(chunk, *probs.shape)``
+    stacks of at most ``MC_CHUNK_CELLS`` cells (at least one trial each).
+
+    Trial t draws from its own stream ``derive_seed(seed, ni, t)``, so the
+    counts do not depend on the chunking.
+    """
+    flat = probs.ravel()
+    step = max(1, MC_CHUNK_CELLS // flat.size)
+    for start in range(0, trials, step):
+        chunk = range(start, min(start + step, trials))
+        counts = np.empty((len(chunk), flat.size), dtype=np.int64)
+        for row, t in enumerate(chunk):
+            counts[row] = np.random.default_rng(derive_seed(seed, ni, t)).multinomial(n, flat)
+        yield counts.reshape(len(chunk), *probs.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +202,11 @@ def _mc_setup(joint: JointPmf, n_grid, delta_grid, k: int, trials: int, delta_ca
     return p0, cdm, linalg.svd_oracle(cdm)
 
 
+def _stack_statistic(statistic, counts: np.ndarray, n: int, px: np.ndarray, py: np.ndarray) -> np.ndarray:
+    """``statistic`` of each trial in a ``(trials, |X|, |Y|)`` stack of counts."""
+    return statistic(linalg.svd_stack(cdm_matrix(counts / n, px, py)))
+
+
 def _run_tail(
     joint: JointPmf,
     n_grid: Sequence[int],
@@ -190,15 +219,19 @@ def _run_tail(
     alt_bound=None,
     mse=None,
 ) -> tuple[TailCell, ...]:
-    """Tabulate the tails of ``statistic``, a map from one trial's quasi-CDM SVD to a number."""
+    """Tabulate the tails of ``statistic`` over the grid.
+
+    Per sample size, each chunk of trials becomes a stack of quasi-CDMs, and
+    ``statistic`` maps the stack's SVD, ``(u, sigmas, v)`` from
+    ``linalg.svd_stack`` with one leading index per trial, to a vector with
+    one value per trial.
+    """
     px, py = joint.x_marginal.probs, joint.y_marginal.probs
     cells = []
     for ni, n in enumerate(n_grid):
-        stats = np.empty(trials)
-        for t in range(trials):
-            rng = np.random.default_rng(derive_seed(seed, ni, t))
-            counts = rng.multinomial(n, joint.probs.ravel()).reshape(joint.probs.shape)
-            stats[t] = statistic(linalg.svd_oracle(cdm_matrix(counts / n, px, py)))
+        stats = np.concatenate(
+            [_stack_statistic(statistic, counts, n, px, py) for counts in _trial_counts(seed, ni, n, joint.probs, trials)]
+        )
         for delta in delta_grid:
             count = int(np.sum(stats >= delta))
             freq = count / trials
@@ -233,8 +266,9 @@ def mc_sigma_tail(
     true_sig = svd_true.sigmas[:k]
     n_x, n_y = len(joint.x_alphabet), len(joint.y_alphabet)
 
-    def statistic(svd: linalg.SvdResult) -> float:
-        return float(np.abs(svd.sigmas[:k] - true_sig).sum())
+    def statistic(svd) -> np.ndarray:
+        _, sig, _ = svd
+        return np.abs(sig[:, :k] - true_sig).sum(axis=1)
 
     cells = _run_tail(
         joint,
@@ -272,12 +306,13 @@ def mc_feature_quality(
     sig_diag = np.diag(svd_true.sigmas[:k])
     n_x, n_y = len(joint.x_alphabet), len(joint.y_alphabet)
 
-    def statistic(svd: linalg.SvdResult) -> float:
-        psi_x = svd.v[:, :k]
+    def statistic(svd) -> np.ndarray:
+        u, _, v = svd
+        psi_x = v[:, :, :k]
         if metric == "mu2":
-            return captured_true - float(np.sum((cdm @ psi_x) ** 2))
-        psi_y = svd.u[:, :k]
-        return float(np.sqrt(np.sum((sig_diag - psi_y.T @ cdm @ psi_x) ** 2)))
+            return captured_true - np.sum((cdm @ psi_x) ** 2, axis=(1, 2))
+        psi_y = u[:, :, :k]
+        return np.sqrt(np.sum((sig_diag - psi_y.swapaxes(1, 2) @ cdm @ psi_x) ** 2, axis=(1, 2)))
 
     if metric not in ("mu2", "mu2prime"):
         raise DataError("SHAPE_MISMATCH", f"unknown metric {metric!r}")
@@ -309,9 +344,9 @@ def mc_mi_error(
     true_sig = svd_true.sigmas[:k]
     true_half = 0.5 * float(np.sum(true_sig**2))
 
-    def statistic(svd: linalg.SvdResult) -> float:
-        est = 0.5 * float(np.sum(svd.sigmas[:k] ** 2))
-        return abs(est - true_half)
+    def statistic(svd) -> np.ndarray:
+        _, sig, _ = svd
+        return np.abs(0.5 * np.sum(sig[:, :k] ** 2, axis=1) - true_half)
 
     cells = _run_tail(
         joint,
@@ -394,11 +429,9 @@ def chernoff_local(
     limit = -(mean * mean) / var
     cells = []
     for ni, n in enumerate(n_grid):
-        rel_dev = np.empty(trials)
-        for t in range(trials):
-            rng = np.random.default_rng(derive_seed(seed, ni, t))
-            counts = rng.multinomial(n, pmf.probs)
-            rel_dev[t] = abs(float(counts @ h) / n / mean - 1.0)
+        rel_dev = np.concatenate(
+            [np.abs(counts @ h / n / mean - 1.0) for counts in _trial_counts(seed, ni, n, pmf.probs, trials)]
+        )
         for gamma in gamma_grid:
             if gamma <= 0:
                 raise DataError("DELTA_OUT_OF_RANGE", "gamma must be positive")

@@ -3,7 +3,9 @@
 Thin wrappers over ``numpy.linalg`` (LAPACK) that fix the package's
 conventions and error contract: a nonnegative R diagonal in QR, a pivot floor
 in Cholesky, and for the SVD descending singular values, an exact-zero floor
-and one sign rule.  The one-sided Jacobi SVD these replace lives on under
+and one sign rule.  ``svd_stack`` decomposes a whole stack of matrices in one
+call, with the same LAPACK routine but without the floor and the sign rule,
+for the Monte Carlo statistics.  The one-sided Jacobi SVD these replace lives on under
 ``tests/`` as the independent reference the SVD is checked against; the
 iterative path in :mod:`modalkit.ace` is cross-checked against this one.
 
@@ -147,6 +149,26 @@ def lead_signs(cols: np.ndarray) -> np.ndarray:
     return np.where(cols[lead, np.arange(cols.shape[1])] < 0, -1.0, 1.0)
 
 
+def svd_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVDs ``(u, sigmas, v)`` of every matrix in a ``(..., m, n)`` stack,
+    in one LAPACK call.
+
+    Each matrix is decomposed as its tall working matrix (the transpose of a
+    wide one) with singular vectors, the routine :func:`svd_oracle` uses, so
+    the singular values are the ones it computes before its zero floor.
+    Neither the floor nor the sign rule is applied and entries are not
+    checked: this is for statistics of many small spectra that read neither.
+    """
+    transposed = a.shape[-2] < a.shape[-1]
+    work = a.swapaxes(-1, -2) if transposed else a
+    try:
+        u, sig, vt = np.linalg.svd(work, full_matrices=False)
+    except np.linalg.LinAlgError:
+        raise NumericalError("NO_CONVERGENCE", "SVD did not converge") from None
+    v = vt.swapaxes(-1, -2)
+    return (v, sig, u) if transposed else (u, sig, v)
+
+
 def svd_oracle(a) -> SvdResult:
     """Full thin SVD (LAPACK) in the package's conventions.
 
@@ -158,20 +180,11 @@ def svd_oracle(a) -> SvdResult:
     :func:`lead_signs`) is positive.
     """
     a = as_matrix(a)
-    transposed = a.shape[0] < a.shape[1]
-    work = a.T if transposed else a
-    try:
-        u, sig, vt = np.linalg.svd(work, full_matrices=False)
-    except np.linalg.LinAlgError:
-        raise NumericalError("NO_CONVERGENCE", "SVD did not converge") from None
+    u, sig, v = svd_stack(a)
     if sig.size:
-        sig[sig <= sig[0] * max(work.shape) * SVD_FLOOR_EPS] = 0.0
-    v = vt.T
-    signs = lead_signs(v)
-    u, v = u * signs, v * signs
-    if transposed:
-        u, v = v, u
-    return SvdResult(u, sig, v)
+        sig[sig <= sig[0] * max(a.shape) * SVD_FLOOR_EPS] = 0.0
+    signs = lead_signs(u if a.shape[0] < a.shape[1] else v)  # the working matrix's right vectors
+    return SvdResult(u * signs, sig, v * signs)
 
 
 def ky_fan(a, k: int) -> float:

@@ -184,9 +184,10 @@ def dtm_to_joint(dtm: Dtm) -> JointPmf:
 
 def cdm_matrix(table: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarray:
     """(P^T - P_Y P_X^T) / sqrt(P_Y P_X^T) for an |X| x |Y| table P and positive marginals:
-    the CDM with P's own marginals, the quasi-CDM with the true ones of an empirical P."""
+    the CDM with P's own marginals, the quasi-CDM with the true ones of an empirical P.
+    A ``(..., |X|, |Y|)`` stack of tables gives the stack of their matrices."""
     denom = np.sqrt(px[None, :] * py[:, None])
-    return (table.T - px[None, :] * py[:, None]) / denom
+    return (table.swapaxes(-1, -2) - px[None, :] * py[:, None]) / denom
 
 
 def build_cdm(joint: JointPmf) -> Cdm:

@@ -183,16 +183,26 @@ def joint_from_samples(
     When alphabets are supplied, unseen symbols get probability zero and a
     sample outside the supplied alphabet is an error.
     """
-    if len(samples) == 0:
+    n = len(samples)
+    if n == 0:
         raise DataError("EMPTY_SAMPLES", "cannot estimate a distribution from zero samples")
+    xs = [x for x, _ in samples.pairs]
+    ys = [y for _, y in samples.pairs]
     if x_alphabet is None:
-        x_alphabet = Alphabet(tuple(dict.fromkeys(x for x, _ in samples.pairs)))
+        x_alphabet = Alphabet(tuple(dict.fromkeys(xs)))
     if y_alphabet is None:
-        y_alphabet = Alphabet(tuple(dict.fromkeys(y for _, y in samples.pairs)))
-    counts = np.zeros((len(x_alphabet), len(y_alphabet)))
-    for x, y in samples.pairs:
-        counts[x_alphabet.index(x), y_alphabet.index(y)] += 1.0
-    return JointPmf(x_alphabet, y_alphabet, counts / len(samples))
+        y_alphabet = Alphabet(tuple(dict.fromkeys(ys)))
+    try:
+        xi = np.fromiter(map(x_alphabet._index.__getitem__, xs), np.intp, n)
+        yi = np.fromiter(map(y_alphabet._index.__getitem__, ys), np.intp, n)
+    except KeyError:
+        for x, y in samples.pairs:  # name the first unknown symbol in sample order
+            x_alphabet.index(x)
+            y_alphabet.index(y)
+        raise
+    ny = len(y_alphabet)
+    counts = np.bincount(xi * ny + yi, minlength=len(x_alphabet) * ny)
+    return JointPmf(x_alphabet, y_alphabet, counts.reshape(len(x_alphabet), ny) / n)
 
 
 def marginals(joint: JointPmf) -> tuple[Pmf, Pmf]:
@@ -281,12 +291,10 @@ def draw_samples(joint: JointPmf, n: int, seed: int) -> SamplePairs:
         raise DataError("EMPTY_SAMPLES", "need n >= 1 samples")
     rng = np.random.default_rng(seed)
     flat = joint.probs.ravel()
-    ny = len(joint.y_alphabet)
     idx = rng.choice(flat.size, size=n, p=flat)
-    xs = joint.x_alphabet.symbols
-    ys = joint.y_alphabet.symbols
-    pairs = tuple((xs[i // ny], ys[i % ny]) for i in idx)
-    return SamplePairs(pairs, provenance=f"seed={seed}")
+    # one (x, y) tuple per cell, shared by every sample of that cell
+    cells = np.fromiter(((x, y) for x in joint.x_alphabet for y in joint.y_alphabet), dtype=object, count=flat.size)
+    return SamplePairs(tuple(cells[idx].tolist()), provenance=f"seed={seed}")
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ structure, and the bound/exceedance comparisons at reduced trial counts
 (the full-scale grids live in the acceptance suite)."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ import modalkit as mk
 from modalkit import DataError
 from modalkit import experiments as ex
 
-from conftest import CallCount, assert_code, bss, random_joint
+from conftest import CallCount, assert_code, bss, random_joint, random_pmf
+import mc_reference
 
 
 class TestBoundFormulas:
@@ -145,27 +147,112 @@ class TestFeatureQuality:
             assert c.frequency <= c.effective_bound + 3 * c.stderr
 
 
-class TestTrialPath:
-    """Each trial takes one SVD of its quasi-CDM, built straight from the
-    drawn counts: no JointPmf and no Cdm per trial."""
+RUNS = {  # (joint, n_grid, delta_grid, k, trials, seed) -> report
+    "sigma": mk.mc_sigma_tail,
+    "mu2": partial(mk.mc_feature_quality, metric="mu2"),
+    "mu2prime": partial(mk.mc_feature_quality, metric="mu2prime"),
+    "mi": mk.mc_mi_error,
+}
 
-    @pytest.mark.parametrize(
-        "run",
-        [
-            lambda j: mk.mc_sigma_tail(j, [50, 200], [0.1], 2, 7, 3),
-            lambda j: mk.mc_feature_quality(j, [50, 200], [0.1], 2, 7, 3, "mu2"),
-            lambda j: mk.mc_feature_quality(j, [50, 200], [0.1], 2, 7, 3, "mu2prime"),
-            lambda j: mk.mc_mi_error(j, [50, 200], [0.1], 2, 7, 3),
-        ],
-        ids=["sigma", "mu2", "mu2prime", "mi"],
-    )
-    def test_one_svd_per_trial(self, monkeypatch, run):
-        j = random_joint(np.random.default_rng(4), 3, 4)
-        svds = CallCount(monkeypatch, ex.linalg, "svd_oracle")
+
+class StackSpy:
+    """Records every call of ``experiments._stack_statistic`` (one per chunk
+    of trials) with its arguments and the statistics it returned."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        original = ex._stack_statistic
+
+        def spy(*args):
+            out = original(*args)
+            self.calls.append((args, out))
+            return out
+
+        monkeypatch.setattr(ex, "_stack_statistic", spy)
+
+    def stats(self) -> np.ndarray:
+        return np.concatenate([out for _, out in self.calls])
+
+
+class TestTrialPath:
+    """The true spectrum takes the one full SVD of a run; the trials of a
+    grid row are drawn, stacked and decomposed by one stacked SVD per chunk,
+    straight from the counts: no JointPmf and no Cdm per trial."""
+
+    @pytest.mark.parametrize("chunk_cells,chunks", [(None, 1), (36, 3)], ids=["one-chunk", "3-trial-chunks"])
+    @pytest.mark.parametrize("experiment", list(RUNS))
+    def test_one_stacked_svd_per_row_and_chunk(self, monkeypatch, experiment, chunk_cells, chunks):
+        j = random_joint(np.random.default_rng(4), 3, 4)  # 12 cells: 36 cells hold 3 trials
+        if chunk_cells is not None:
+            monkeypatch.setattr(ex, "MC_CHUNK_CELLS", chunk_cells)
+        oracles = CallCount(monkeypatch, ex.linalg, "svd_oracle")
+        stacks = CallCount(monkeypatch, ex.linalg, "svd_stack")
         joints = CallCount(monkeypatch, mk.JointPmf, "__post_init__")
         cdms = CallCount(monkeypatch, mk.modal.Cdm, "__post_init__")
-        run(j)
-        assert (svds.n, joints.n, cdms.n) == (1 + 7 * 2, 0, 1)
+        RUNS[experiment](j, [50, 200], [0.1], 2, 7, 3)
+        # svd_oracle decomposes through svd_stack too: one call for the truth
+        assert (oracles.n, stacks.n - 1, joints.n, cdms.n) == (1, 2 * chunks, 0, 1)
+
+
+class TestBatchedMatchesReference:
+    """The batched trials reproduce the per-trial loop in ``mc_reference``
+    (full ``svd_oracle`` per trial): every exceed count, the statistics
+    within 1e-12, under any chunking and in any trial order."""
+
+    @pytest.mark.parametrize("experiment", list(RUNS))
+    @pytest.mark.parametrize("shape", [(3, 4), (7, 5), (10, 10)], ids=["3x4", "7x5-wide", "10x10"])
+    def test_generated_joints(self, monkeypatch, experiment, shape):
+        j = random_joint(np.random.default_rng(shape[0] * 10 + shape[1]), *shape)
+        n_grid, deltas = [40, 300], [0.05, 0.1, 0.2, 0.4]
+        spy = StackSpy(monkeypatch)
+        rep = RUNS[experiment](j, n_grid, deltas, 2, 12, 5)
+        rows = mc_reference.tail_stats(j, experiment, 2, n_grid, 12, 5)
+        assert [c.exceed_count for c in rep.cells] == mc_reference.exceed_counts(rows, deltas)
+        np.testing.assert_allclose(spy.stats(), np.concatenate(rows), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "experiment,deltas,seed",
+        [("sigma", [0.1, 0.2, 0.4], 101), ("mu2", [0.05, 0.1, 0.2], 102), ("mi", [0.05, 0.1, 0.2], 103)],
+    )
+    def test_acceptance_grids(self, monkeypatch, experiment, deltas, seed):
+        """The grids of acceptance criterion 11 (2000 trials a row).  Replaying
+        all 18 000 trials through the reference would take seconds, so it
+        replays the first 20 trials of each row plus every trial within 1e-9
+        of a delta: with the statistics within 1e-12, only those can change
+        an exceed count.  The sigma grid holds a lattice tie at n = 500,
+        delta = 0.1 (35 exceedances; a values-only SVD counts 36)."""
+        j, n_grid, trials = bss(0.3), [500, 1000, 2000], 2000
+        spy = StackSpy(monkeypatch)
+        rep = RUNS[experiment](j, n_grid, deltas, 1, trials, seed)
+        stats = spy.stats().reshape(len(n_grid), trials)
+        near = np.abs(stats[:, :, None] - np.array(deltas)).min(axis=2) <= 1e-9
+        if experiment == "sigma":
+            assert near[0].any() and rep.cells[0].exceed_count == 35
+        for ni, n in enumerate(n_grid):
+            replay = sorted(set(range(20)) | set(np.flatnonzero(near[ni]).tolist()))
+            ref = mc_reference.trial_stats(j, experiment, 1, n, ni, replay, seed)
+            np.testing.assert_allclose(stats[ni, replay], ref, rtol=0, atol=1e-12)
+            for delta in deltas:
+                assert np.array_equal(stats[ni, replay] >= delta, ref >= delta)
+
+    @pytest.mark.parametrize("experiment", list(RUNS))
+    def test_chunking_does_not_change_report(self, monkeypatch, experiment):
+        j = random_joint(np.random.default_rng(8), 3, 4)
+        run = lambda: RUNS[experiment](j, [30, 120], [0.05, 0.2], 2, 9, 4).to_json_dict()
+        whole = run()
+        monkeypatch.setattr(ex, "MC_CHUNK_CELLS", 3)  # one trial a chunk
+        assert run() == whole
+
+    @pytest.mark.parametrize("experiment", list(RUNS))
+    def test_trial_order(self, monkeypatch, experiment):
+        """Permuting the stack permutes the statistics bit for bit: a trial's
+        value does not depend on where in the stack it sits."""
+        j = random_joint(np.random.default_rng(9), 7, 5)
+        spy = StackSpy(monkeypatch)
+        RUNS[experiment](j, [60], [0.1], 2, 16, 6)
+        (statistic, counts, n, px, py), stats = spy.calls[0]
+        perm = np.random.default_rng(10).permutation(len(counts))
+        np.testing.assert_array_equal(ex._stack_statistic(statistic, counts[perm], n, px, py), stats[perm])
 
 
 class TestMiError:
@@ -209,6 +296,18 @@ class TestChernoffLocal:
         with pytest.raises(DataError) as err:
             mk.chernoff_local(np.array([1.0, -1.0]), pmf, [0.1], [100], 10, 0)
         assert_code(err, "ZERO_MEAN_FEATURE")
+
+    def test_matches_per_trial_loop(self, monkeypatch):
+        """Every exceed count equals the per-trial loop's, whatever the chunking."""
+        rng = np.random.default_rng(12)
+        pmf = random_pmf(rng, 6)
+        h = rng.normal(size=6) + 1.0
+        gammas, n_grid = [0.02, 0.05, 0.1], [50, 400]
+        rep = mk.chernoff_local(h, pmf, gammas, n_grid, 300, 8)
+        rows = mc_reference.chernoff_rel_dev(h, pmf.probs, n_grid, 300, 8)
+        assert [c.exceed_count for c in rep.cells] == mc_reference.exceed_counts(rows, gammas)
+        monkeypatch.setattr(ex, "MC_CHUNK_CELLS", 12)  # two trials a chunk
+        assert mk.chernoff_local(h, pmf, gammas, n_grid, 300, 8).to_json_dict() == rep.to_json_dict()
 
     def test_normalized_log_probability_near_limit(self):
         """At the smallest gamma and largest n with observable exceedances the

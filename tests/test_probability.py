@@ -144,6 +144,54 @@ class TestAlphabetOrder:
             assert j.prob(x, y) == pairs.count((x, y)) / len(pairs)
 
 
+def _draw_loop(joint, n, seed):
+    """The per-sample reference for ``draw_samples``: one tuple per draw."""
+    idx = np.random.default_rng(seed).choice(joint.probs.size, size=n, p=joint.probs.ravel())
+    ny = len(joint.y_alphabet)
+    return tuple((joint.x_alphabet.symbols[i // ny], joint.y_alphabet.symbols[i % ny]) for i in idx)
+
+
+def _count_loop(pairs, x_alphabet, y_alphabet):
+    """The per-sample reference for ``joint_from_samples`` with given alphabets."""
+    counts = np.zeros((len(x_alphabet), len(y_alphabet)))
+    for x, y in pairs:
+        counts[x_alphabet.index(x), y_alphabet.index(y)] += 1.0
+    return counts / len(pairs)
+
+
+class TestSamplingMatchesLoop:
+    """The vectorized sampler and counter reproduce the per-sample loops:
+    the same pairs in the same order for a seed, the same counts, and the
+    same UNKNOWN_SYMBOL error for the first sample outside a given alphabet."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 300), st.integers(0, 2**32 - 1))
+    def test_draw_samples(self, nx, ny, n, seed):
+        j = random_joint(np.random.default_rng(seed), nx, ny)
+        samples = mk.draw_samples(j, n, seed)
+        assert samples.pairs == _draw_loop(j, n, seed)
+        emp = mk.joint_from_samples(samples, j.x_alphabet, j.y_alphabet)
+        np.testing.assert_array_equal(emp.probs, _count_loop(samples.pairs, j.x_alphabet, j.y_alphabet))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        _pairs(unique=False),
+        st.lists(st.sampled_from("abcdez"), min_size=1, unique=True),
+        st.lists(st.sampled_from("pqrstz"), min_size=1, unique=True),
+    )
+    def test_joint_from_samples_given_alphabets(self, pairs, xs, ys):
+        samples = mk.SamplePairs(tuple(pairs))
+        ax, ay = mk.alphabet(xs), mk.alphabet(ys)
+        try:
+            want = _count_loop(samples.pairs, ax, ay)
+        except DataError as expected:
+            with pytest.raises(DataError) as err:
+                mk.joint_from_samples(samples, ax, ay)
+            assert (err.value.code, str(err.value)) == ("UNKNOWN_SYMBOL", str(expected))
+        else:
+            np.testing.assert_array_equal(mk.joint_from_samples(samples, ax, ay).probs, want)
+
+
 class TestMarginalsAndConditionals:
     def test_uniform(self):
         j = mk.joint_from_table([("a", "b", 0.25), ("a", "c", 0.25), ("d", "b", 0.25), ("d", "c", 0.25)])
